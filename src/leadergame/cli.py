@@ -9,6 +9,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -17,6 +18,8 @@ from .containment import LeaderLinks, LeaderStates
 from .exactmat import spanning_tree_count
 from .game import (
     DEFAULT_STRATEGY_CAP,
+    HALF,
+    GameReport,
     enumerate_strategies,
     game_values,
     nash_equilibria,
@@ -81,6 +84,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_outcome(args) -> int:
+    if args.precision < 0:
+        raise ValueError(f"--precision must be >= 0, got {args.precision}")
     g = _resolve_graph(args.graph)
     u = outcome_matrix(g, args.k, cap=args.cap)
     if args.format == "csv":
@@ -100,25 +105,23 @@ def _cmd_outcome(args) -> int:
 
 def _cmd_nash(args) -> int:
     g = _resolve_graph(args.graph)
-    if args.k == 1:
-        shortcut = shortcut_optimal(g)
-        if shortcut is not None and shortcut.kind == "circulant":
-            strategies = enumerate_strategies(g.n, 1, cap=args.cap)
-            verts = [list(s.vertices) for s in strategies]
-            _emit(
-                {
-                    "upper_value": "1/2",
-                    "lower_value": "1/2",
-                    "security_set": verts,
-                    "nash_pairs": [[vi, vj] for vi in verts for vj in verts],
-                    "nash_value": "1/2",
-                    "shortcut_used": True,
-                }
-            )
-            return 0
-    u = outcome_matrix(g, args.k, cap=args.cap)
-    report = nash_equilibria(u)
-    verts = [list(s.vertices) for s in u.strategies]
+    shortcut = shortcut_optimal(g) if args.k == 1 else None
+    shortcut_used = shortcut is not None and shortcut.kind == "circulant"
+    if shortcut_used:
+        strategies = enumerate_strategies(g.n, 1, cap=args.cap)
+        every = tuple(range(len(strategies)))
+        report = GameReport(
+            upper_value=HALF,
+            lower_value=HALF,
+            security_set=every,
+            nash_pairs=tuple(itertools.product(every, every)),
+            nash_value=HALF,
+        )
+    else:
+        u = outcome_matrix(g, args.k, cap=args.cap)
+        strategies = u.strategies
+        report = nash_equilibria(u)
+    verts = [list(s.vertices) for s in strategies]
     _emit(
         {
             "upper_value": _frac(report.upper_value),
@@ -126,7 +129,7 @@ def _cmd_nash(args) -> int:
             "security_set": [verts[i] for i in report.security_set],
             "nash_pairs": [[verts[i], verts[j]] for i, j in report.nash_pairs],
             "nash_value": None if report.nash_value is None else _frac(report.nash_value),
-            "shortcut_used": False,
+            "shortcut_used": shortcut_used,
         }
     )
     return 0

@@ -1,20 +1,19 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
-Determinants use fraction-free (Bareiss) elimination, so every intermediate
-value stays an integer. Rationals are stdlib ``fractions.Fraction`` values,
-which are always reduced with a positive denominator. Matrices are plain
-lists of lists; everything here is a pure function on immutable-by-convention
-inputs, safe to evaluate concurrently.
+One fraction-free (Bareiss) elimination kernel does all the work: on
+[M | B] it returns det(M) and det(M) * M^-1 B, every intermediate value an
+integer. Determinants, exact solves, adjugates (B = I) and inverses are thin
+views of it; only the adjugate of a singular matrix falls back to minor
+expansion. Rationals are stdlib ``fractions.Fraction`` values, which are
+always reduced with a positive denominator. Matrices are plain lists of
+lists; everything here is a pure function on immutable-by-convention inputs,
+safe to evaluate concurrently.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .graphs import Graph, laplacian
-
-# n x n minor expansion is used for adjugates up to this size; above it the
-# columns come from exact solves against det * e_j (nonsingular case).
-ADJUGATE_MINOR_LIMIT = 12
 
 
 def _require_square(m) -> int:
@@ -25,19 +24,23 @@ def _require_square(m) -> int:
     return n
 
 
-def determinant_int(m) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
+def _bareiss(m, rhs=None):
+    """(det(m), X) with X = det(m) * m^-1 @ rhs as an integer matrix.
 
-    Row swaps stand in for zero pivots; a fully zero pivot column means the
-    determinant is zero. The 0 x 0 determinant is 1.
+    Forward Bareiss elimination runs on [m | rhs], swapping rows for zero
+    pivots, so each pivot is a leading minor and every division is exact.
+    Back substitution scales by det(m) to stay integral. X is None when
+    ``rhs`` is None or m is singular. ``rhs`` is a list of n rows.
     """
     n = _require_square(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
+    if rhs is None:
+        a = [list(row) for row in m]
+    else:
+        a = [list(row) + list(extra) for row, extra in zip(m, rhs)]
+    width = len(a[0]) if n else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -45,17 +48,40 @@ def determinant_int(m) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, None
         pivot = a[k][k]
         top = a[k]
         for i in range(k + 1, n):
             row = a[i]
             lead = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = (pivot * row[j] - lead * top[j]) // prev
             row[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    det = sign * prev
+    if rhs is None:
+        return det, None
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        out = []
+        for c in range(n, width):
+            acc = det * row[c] - sum(row[j] * x[j][c - n] for j in range(i + 1, n))
+            q, r = divmod(acc, row[i])
+            if r:
+                raise ArithmeticError("Bareiss back substitution failed exact division")
+            out.append(q)
+        x[i] = out
+    return det, x
+
+
+def determinant_int(m) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination.
+
+    Row swaps stand in for zero pivots; a fully zero pivot column means the
+    determinant is zero. The 0 x 0 determinant is 1.
+    """
+    return _bareiss(m)[0]
 
 
 def _minor(m, i: int, j: int):
@@ -66,44 +92,31 @@ def _minor(m, i: int, j: int):
     ]
 
 
+def _identity(n: int):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
 def adjugate_int(m):
     """Transpose of the cofactor matrix; satisfies m @ adj(m) == det(m) * I.
 
-    Entries come from n^2 minor determinants for n <= ADJUGATE_MINOR_LIMIT;
-    larger nonsingular matrices use one exact solve per column instead.
-    Works for singular matrices as well (minor path).
+    A nonsingular matrix takes one elimination of [m | I]. A singular one
+    has no inverse to scale, so its entries come from the n^2 signed minors.
     """
     n = _require_square(m)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    if n > ADJUGATE_MINOR_LIMIT:
-        det = determinant_int(m)
-        if det != 0:
-            cols = []
-            for j in range(n):
-                e = [0] * n
-                e[j] = 1
-                x = solve_rational(m, e)
-                col = [v * det for v in x]
-                if any(v.denominator != 1 for v in col):
-                    raise ArithmeticError("adjugate column failed exact division")
-                cols.append([int(v) for v in col])
-            return [[cols[j][i] for j in range(n)] for i in range(n)]
-    adj = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            sgn = -1 if (r + c) % 2 else 1
-            adj[r][c] = sgn * determinant_int(_minor(m, c, r))
-    return adj
+    _, adj = _bareiss(m, _identity(n))
+    if adj is not None:
+        return adj
+    return [
+        [(-1) ** (r + c) * determinant_int(_minor(m, c, r)) for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def solve_rational(m, b) -> list:
     """Exact solution of m @ x == b for an integer matrix and integer vector.
 
-    Fraction-free forward elimination keeps the triangular system integral;
-    back substitution produces reduced Fractions. Raises on singular input.
+    One fraction-free elimination yields det(m) * x in integers; each entry
+    becomes a reduced Fraction over det(m). Raises on singular input.
     """
     n = _require_square(m)
     if len(b) != n:
@@ -111,34 +124,10 @@ def solve_rational(m, b) -> list:
     for v in b:
         if not isinstance(v, int):
             raise TypeError("right-hand side entries must be integers")
-    aug = [list(row) + [b[i]] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n - 1):
-        if aug[k][k] == 0:
-            for r in range(k + 1, n):
-                if aug[r][k] != 0:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        pivot = aug[k][k]
-        top = aug[k]
-        for i in range(k + 1, n):
-            row = aug[i]
-            lead = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - lead * top[j]) // prev
-            row[k] = 0
-        prev = pivot
-    if n > 0 and aug[n - 1][n - 1] == 0:
+    det, x = _bareiss(m, [[v] for v in b])
+    if x is None:
         raise ValueError("matrix is singular")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    return [Fraction(row[0], det) for row in x]
 
 
 def principal_submatrix(m, keep):
@@ -175,10 +164,9 @@ def is_positive_definite(m) -> bool:
 
 def inverse_rational(m) -> list:
     """Exact inverse as a matrix of Fractions: adjugate over determinant."""
-    det = determinant_int(m)
-    if det == 0:
+    det, adj = _bareiss(m, _identity(_require_square(m)))
+    if adj is None:
         raise ValueError("matrix is singular")
-    adj = adjugate_int(m)
     return [[Fraction(v, det) for v in row] for row in adj]
 
 

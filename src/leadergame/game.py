@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .containment import LeaderLinks, grounded
@@ -162,67 +162,56 @@ def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> Outcome
     return OutcomeMatrix(graph=g, k=k, strategies=tuple(strategies), entries=entries)
 
 
+def _scan(u: OutcomeMatrix) -> tuple:
+    """Row maxima and column minima of the outcome matrix."""
+    row_max = [max(row) for row in u.entries]
+    col_min = [min(col) for col in zip(*u.entries)]
+    return row_max, col_min
+
+
+def _argbest(values, best) -> tuple:
+    return tuple(i for i, v in enumerate(values) if v == best)
+
+
 def security_sets(u: OutcomeMatrix) -> tuple:
     """Row (minimizer) and column (maximizer) security strategy index sets."""
-    entries = u.entries
-    n = u.size
-    row_max = [max(row) for row in entries]
+    row_max, col_min = _scan(u)
+    return _argbest(row_max, min(row_max)), _argbest(col_min, max(col_min))
+
+
+def _values(row_max, col_min) -> GameReport:
     upper = min(row_max)
-    rows = tuple(i for i in range(n) if row_max[i] == upper)
-    col_min = [min(entries[i][j] for i in range(n)) for j in range(n)]
-    lower = max(col_min)
-    cols = tuple(j for j in range(n) if col_min[j] == lower)
-    return rows, cols
+    return GameReport(
+        upper_value=upper,
+        lower_value=max(col_min),
+        security_set=_argbest(row_max, upper),
+    )
 
 
 def game_values(u: OutcomeMatrix) -> GameReport:
     """Upper/lower values and the security set (recorded from the rows;
     the row and column sets coincide, which the test suite verifies)."""
-    entries = u.entries
-    upper = min(max(row) for row in entries)
-    lower = max(min(entries[i][j] for i in range(u.size)) for j in range(u.size))
-    rows, _ = security_sets(u)
-    return GameReport(upper_value=upper, lower_value=lower, security_set=rows)
-
-
-def _saddle_scan(u: OutcomeMatrix) -> tuple:
-    entries = u.entries
-    n = u.size
-    row_max = [max(row) for row in entries]
-    col_min = [min(entries[i][j] for i in range(n)) for j in range(n)]
-    return tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if entries[i][j] == row_max[i] == col_min[j]
-    )
+    return _values(*_scan(u))
 
 
 def nash_equilibria(u: OutcomeMatrix) -> GameReport:
     """Complete report: every pure saddle point of the outcome matrix.
 
-    When the values coincide the saddle points are exactly the pairs of
-    security strategies. When they differ, a direct saddle scan runs as a
-    cross-check and must come back empty; a nonempty result would mean the
-    matrix itself is inconsistent.
+    A saddle point (i, j) is an entry that is both the maximum of its row
+    and the minimum of its column. Saddle points exist exactly when the
+    upper and lower values coincide, and their common entry is that value.
     """
-    base = game_values(u)
-    if base.upper_value == base.lower_value:
-        pairs = tuple(itertools.product(base.security_set, base.security_set))
-        return GameReport(
-            upper_value=base.upper_value,
-            lower_value=base.lower_value,
-            security_set=base.security_set,
-            nash_pairs=pairs,
-            nash_value=base.upper_value,
-        )
-    pairs = _saddle_scan(u)
-    if pairs:
-        raise RuntimeError(
-            "saddle points found although upper and lower values differ; "
-            "the outcome matrix is inconsistent"
-        )
-    return base
+    row_max, col_min = _scan(u)
+    base = _values(row_max, col_min)
+    pairs = tuple(
+        (i, j)
+        for i, row in enumerate(u.entries)
+        for j, v in enumerate(row)
+        if v == row_max[i] == col_min[j]
+    )
+    if not pairs:
+        return base
+    return replace(base, nash_pairs=pairs, nash_value=base.upper_value)
 
 
 def optimal_topologies(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> list:
@@ -232,16 +221,21 @@ def optimal_topologies(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> lis
     return [(u.strategies[i], u.strategies[j]) for i, j in report.nash_pairs]
 
 
+def _grounded_colsums(lap, i: int) -> list:
+    """Column sums of adj(L + diag(e_i)) for the Laplacian ``lap``, i 1-indexed."""
+    e_i = [0] * len(lap)
+    e_i[i - 1] = 1
+    adj = adjugate_int(plus_diag(lap, e_i))
+    return [sum(col) for col in zip(*adj)]
+
+
 def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:
     """Sum of column j of adj(L + diag(e_i)): a nonnegative integer equal to
     the spanning-tree count times the column sum of the grounded inverse."""
     for v in (i, j):
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    e_i = [0] * g.n
-    e_i[i - 1] = 1
-    adj = adjugate_int(plus_diag(laplacian(g), e_i))
-    return sum(adj[r][j - 1] for r in range(g.n))
+    return _grounded_colsums(laplacian(g), i)[j - 1]
 
 
 def compare_half(g: Graph, i: int, j: int) -> Ordering:
@@ -310,12 +304,7 @@ def se_set(g: Graph) -> tuple:
         raise ValueError("graph not connected")
     n = g.n
     lap = laplacian(g)
-    colsums = []
-    for i in range(1, n + 1):
-        e_i = [0] * n
-        e_i[i - 1] = 1
-        adj = adjugate_int(plus_diag(lap, e_i))
-        colsums.append([sum(adj[r][c] for r in range(n)) for c in range(n)])
+    colsums = [_grounded_colsums(lap, i) for i in range(1, n + 1)]
     members = [
         i
         for i in range(1, n + 1)

@@ -31,12 +31,10 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        for name in ("dt", "t_end", "convergence_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -99,11 +97,16 @@ def simulate(
             f"step size {dt} exceeds the stability limit {limit:.6g} for this system"
         )
 
+    try:
+        y0, y1 = float(ys.y0), float(ys.y1)
+    except OverflowError:
+        raise ValueError("leader states must be within the floating-point range") from None
+
     a = -np.array(laplacian(g), dtype=float)
     for idx in range(g.n):
         a[idx, idx] -= links.b[idx] + links.d[idx]
-    const = np.array(links.b, dtype=float) * float(ys.y0)
-    const += np.array(links.d, dtype=float) * float(ys.y1)
+    const = np.array(links.b, dtype=float) * y0
+    const += np.array(links.d, dtype=float) * y1
 
     x = np.array([float(v) for v in x0], dtype=float)
     if not np.all(np.isfinite(x)):
@@ -121,7 +124,10 @@ def simulate(
         delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = x + delta
         if not np.all(np.isfinite(x)):
-            raise RuntimeError("state became non-finite during integration")
+            raise ValueError(
+                "state became non-finite during integration; the leader states "
+                "are too large in magnitude for floating point"
+            )
         t = step * dt
         rate = float(np.max(np.abs(delta))) / dt
         done = rate < cfg.convergence_tol

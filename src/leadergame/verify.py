@@ -107,17 +107,14 @@ def run_checks(g: Graph, k: int = 1, seed: int = 0) -> list:
         CheckResult("security-set-symmetry", same, "" if same else f"rows={rows} cols={cols}")
     )
 
-    try:
-        full = nash_equilibria(u)
-        if full.upper_value == full.lower_value:
-            expected = {(i, j) for i in full.security_set for j in full.security_set}
-            ok = set(full.nash_pairs) == expected and full.nash_value == HALF
-            detail = "" if ok else f"pairs={full.nash_pairs} value={full.nash_value}"
-        else:
-            ok = full.nash_pairs == () and full.nash_value is None
-            detail = "" if ok else f"pairs={full.nash_pairs}"
-    except RuntimeError as exc:
-        ok, detail = False, str(exc)
+    full = nash_equilibria(u)
+    if full.upper_value == full.lower_value:
+        expected = {(i, j) for i in full.security_set for j in full.security_set}
+        ok = set(full.nash_pairs) == expected and full.nash_value == HALF
+        detail = "" if ok else f"pairs={full.nash_pairs} value={full.nash_value}"
+    else:
+        ok = full.nash_pairs == () and full.nash_value is None
+        detail = "" if ok else f"pairs={full.nash_pairs}"
     results.append(CheckResult("nash-consistency", ok, detail))
 
     u1 = u if k == 1 else outcome_matrix(g, 1)

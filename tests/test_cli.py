@@ -64,6 +64,13 @@ class TestOutcome:
         assert code == 2
         assert "cap" in err
 
+    def test_negative_precision(self, capsys):
+        code, _, err = run(
+            capsys, "outcome", "--graph", "path:3", "--format", "csv", "--precision", "-1"
+        )
+        assert code == 2
+        assert "--precision must be >= 0" in err
+
     def test_deterministic(self, capsys):
         _, a, _ = run(capsys, "outcome", "--graph", "cycle:5")
         _, b, _ = run(capsys, "outcome", "--graph", "cycle:5")
@@ -156,6 +163,22 @@ class TestSimulate:
         )
         assert code == 2
         assert "y0 < y1" in err
+
+    def test_non_finite_numbers(self, capsys):
+        cases = (
+            (("--t-end", "inf"), "t_end must be positive and finite"),
+            (("--t-end", "nan"), "t_end must be positive and finite"),
+            (("--dt", "nan"), "dt must be positive and finite"),
+            (("--tol", "nan"), "convergence_tol must be positive and finite"),
+            (("--y1", "1e400"), "floating-point range"),
+            (("--y1", "1e308"), "non-finite"),
+        )
+        for extra, message in cases:
+            code, _, err = run(
+                capsys, "simulate", "--graph", "path:3", "--b", "1", "--d", "2", *extra
+            )
+            assert code == 2, extra
+            assert message in err, extra
 
     def test_bad_vertex_list(self, capsys):
         code, _, err = run(

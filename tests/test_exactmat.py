@@ -27,6 +27,10 @@ def random_int_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+def minor(m, i, j):
+    return [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+
+
 class TestDeterminant:
     def test_two_by_two(self):
         assert determinant_int([[2, -1], [-1, 2]]) == 3
@@ -79,7 +83,7 @@ class TestAdjugate:
                     assert got == (det if i == j else 0)
 
     def test_solve_backed_path_for_large_matrices(self):
-        # path-13 grounded at vertex 1 exceeds the minor-expansion limit
+        # path-13 grounded at vertex 1: larger than any random case above
         g = generate("path", 13)
         m = plus_diag(laplacian(g), unit(13, 1))
         adj = adjugate_int(m)
@@ -89,6 +93,28 @@ class TestAdjugate:
             for j in range(13):
                 got = sum(m[i][r] * adj[r][j] for r in range(13))
                 assert got == (det if i == j else 0)
+
+    def test_matches_cofactor_oracle(self):
+        # singular inputs are built at rank n-1 (adjugate of rank one) and at
+        # rank <= n-2 (adjugate zero); m @ adj == 0 cannot tell those apart
+        rng = random.Random(29)
+        nonzero_singular = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rank = rng.choice([n, n - 1, max(n - 2, 0)])
+            left = random_int_matrix(rng, n)
+            right = random_int_matrix(rng, n)
+            m = [[sum(left[i][r] * right[r][j] for r in range(rank)) for j in range(n)]
+                 for i in range(n)]
+            expected = [
+                [(-1) ** (r + c) * det_permutation(minor(m, c, r)) for c in range(n)]
+                for r in range(n)
+            ]
+            adj = adjugate_int(m)
+            assert adj == expected
+            if det_permutation(m) == 0 and any(any(row) for row in adj):
+                nonzero_singular += 1
+        assert nonzero_singular > 0
 
 
 class TestSolve:

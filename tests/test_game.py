@@ -173,6 +173,17 @@ class TestGameSolution:
         assert report.nash_pairs == ()
         assert report.nash_value is None
 
+    def test_saddle_off_the_security_diagonal(self):
+        # hand-built: upper == lower == 2 with row set (0,) and column set (1,),
+        # so the only saddle point is (0, 1), not (0, 0)
+        entries = ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(3)))
+        strategies = tuple(strat(3, [i + 1], i) for i in range(2))
+        u = OutcomeMatrix(graph=P3, k=1, strategies=strategies, entries=entries)
+        report = nash_equilibria(u)
+        assert report.upper_value == report.lower_value == 2
+        assert report.nash_pairs == ((0, 1),)
+        assert report.nash_value == 2
+
     def test_optimal_topologies_star(self):
         pairs = optimal_topologies(STAR4, 1)
         assert len(pairs) == 1

@@ -104,14 +104,20 @@ class TestSimulate:
 
 class TestConfig:
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=-0.1)
-        with pytest.raises(ValueError):
-            SimConfig(t_end=0)
-        with pytest.raises(ValueError):
-            SimConfig(convergence_tol=0)
-        with pytest.raises(ValueError):
-            SimConfig(record_stride=0)
+        for kwargs in (
+            {"dt": -0.1},
+            {"dt": math.nan},
+            {"dt": math.inf},
+            {"t_end": 0},
+            {"t_end": math.nan},
+            {"t_end": math.inf},
+            {"convergence_tol": 0},
+            {"convergence_tol": math.nan},
+            {"convergence_tol": math.inf},
+            {"record_stride": 0},
+        ):
+            with pytest.raises(ValueError):
+                SimConfig(**kwargs)
 
     def test_stability_limit_value(self):
         # max degree 2 on the path of three vertices
