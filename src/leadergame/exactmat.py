@@ -1,9 +1,11 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
 One fraction-free (Bareiss) elimination kernel does all the work: on
-[M | B] it returns det(M) and det(M) * M^-1 B, every intermediate value an
-integer. Determinants, exact solves, adjugates (B = I) and inverses are thin
-views of it; only the adjugate of a singular matrix falls back to minor
+[M | B], ``bareiss`` returns det(M) and det(M) * M^-1 B, every intermediate
+value an integer. It is public so callers that need both the determinant
+and the scaled solution (the game's outcome matrix) take them from one
+elimination. Determinants, exact solves, adjugates (B = I) and inverses are
+thin views of it; only the adjugate of a singular matrix falls back to minor
 expansion. Rationals are stdlib ``fractions.Fraction`` values, which are
 always reduced with a positive denominator. Matrices are plain lists of
 lists; everything here is a pure function on immutable-by-convention inputs,
@@ -24,7 +26,7 @@ def _require_square(m) -> int:
     return n
 
 
-def _bareiss(m, rhs=None):
+def bareiss(m, rhs=None):
     """(det(m), X) with X = det(m) * m^-1 @ rhs as an integer matrix.
 
     Forward Bareiss elimination runs on [m | rhs], swapping rows for zero
@@ -81,7 +83,7 @@ def determinant_int(m) -> int:
     Row swaps stand in for zero pivots; a fully zero pivot column means the
     determinant is zero. The 0 x 0 determinant is 1.
     """
-    return _bareiss(m)[0]
+    return bareiss(m)[0]
 
 
 def _minor(m, i: int, j: int):
@@ -103,7 +105,7 @@ def adjugate_int(m):
     has no inverse to scale, so its entries come from the n^2 signed minors.
     """
     n = _require_square(m)
-    _, adj = _bareiss(m, _identity(n))
+    _, adj = bareiss(m, _identity(n))
     if adj is not None:
         return adj
     return [
@@ -124,7 +126,7 @@ def solve_rational(m, b) -> list:
     for v in b:
         if not isinstance(v, int):
             raise TypeError("right-hand side entries must be integers")
-    det, x = _bareiss(m, [[v] for v in b])
+    det, x = bareiss(m, [[v] for v in b])
     if x is None:
         raise ValueError("matrix is singular")
     return [Fraction(row[0], det) for row in x]
@@ -164,7 +166,7 @@ def is_positive_definite(m) -> bool:
 
 def inverse_rational(m) -> list:
     """Exact inverse as a matrix of Fractions: adjugate over determinant."""
-    det, adj = _bareiss(m, _identity(_require_square(m)))
+    det, adj = bareiss(m, _identity(_require_square(m)))
     if adj is None:
         raise ValueError("matrix is singular")
     return [[Fraction(v, det) for v in row] for row in adj]

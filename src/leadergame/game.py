@@ -6,21 +6,24 @@ leader 0 picks strategy i and leader 1 picks strategy j: an exact rational
 strictly between 0 and 1. Leader 0 minimizes, leader 1 maximizes, and a
 saddle point of the matrix is an optimal topology of the system.
 
-Two independent routes to the half-comparison are kept on purpose: the
-direct rational entry, and an integer comparison of adjugate column sums
-that never forms the entry at all. Their agreement is itself a tested
-deliverable.
+Three routes are kept on purpose. ``outcome_matrix`` takes one grounded
+adjugate per row and a k x k fraction-free correction per entry;
+``outcome_entry`` solves each entry independently with one n x n system and
+is the oracle the fast route is tested against; ``compare_half`` orders a
+single-link entry against 1/2 from adjugate column sums without forming the
+entry at all. Their agreement is itself a tested deliverable.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .containment import LeaderLinks, grounded
-from .exactmat import adjugate_int, determinant_int, plus_diag, solve_rational
+from .exactmat import adjugate_int, bareiss, determinant_int, plus_diag, solve_rational
 from .graphs import Graph, center_vertices, is_circulant_labeled, is_connected, laplacian, neighbors
 
 DEFAULT_STRATEGY_CAP = 20000
@@ -150,16 +153,38 @@ def outcome_entry(g: Graph, s_i: Strategy, s_j: Strategy) -> Fraction:
 def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> OutcomeMatrix:
     """Full outcome matrix for the k-follower game on g.
 
-    Every entry, the diagonal included, is computed independently so the
-    structural identities stay checkable facts.
+    Row S takes one elimination of M_S = L + diag(1_S), giving D = det M_S
+    and the symmetric integer adjugate A, and z = A 1. Column T adds
+    diag(1_T) = U U^T with U = [e_t for t in T]; by the push-through form of
+    Woodbury, (M_S + U U^T)^-1 U = M_S^-1 U (I + U^T M_S^-1 U)^-1, so
+
+        u(S, T) = z_T . y / (n d),  d = det(D I + A_TT),  y = d (D I + A_TT)^-1 1,
+
+    one k x k integer elimination per entry. Nothing is assumed about the
+    diagonal or the involution u + u^T = 1: every entry is computed, so the
+    structural identities stay checkable facts, and ``outcome_entry`` remains
+    the independent per-entry oracle.
     """
     if not is_connected(g):
         raise ValueError("graph not connected")
     strategies = enumerate_strategies(g.n, k, cap=cap)
-    entries = tuple(
-        tuple(outcome_entry(g, si, sj) for sj in strategies) for si in strategies
-    )
-    return OutcomeMatrix(graph=g, k=k, strategies=tuple(strategies), entries=entries)
+    lap = laplacian(g)
+    n = g.n
+    eye = [[int(r == c) for c in range(n)] for r in range(n)]
+    ones = [[1]] * k
+    rows = []
+    for si in strategies:
+        big_d, adj = bareiss(plus_diag(lap, si.indicator), eye)
+        z = [sum(row) for row in adj]
+        row = []
+        for sj in strategies:
+            idx = [t - 1 for t in sj.vertices]
+            corr = [[adj[r][c] + (big_d if r == c else 0) for c in idx] for r in idx]
+            d, y = bareiss(corr, ones)
+            num = sum(z[t] * yt[0] for t, yt in zip(idx, y))
+            row.append(Fraction(num, n * d))
+        rows.append(tuple(row))
+    return OutcomeMatrix(graph=g, k=k, strategies=tuple(strategies), entries=tuple(rows))
 
 
 def _scan(u: OutcomeMatrix) -> tuple:
@@ -221,12 +246,17 @@ def optimal_topologies(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> lis
     return [(u.strategies[i], u.strategies[j]) for i, j in report.nash_pairs]
 
 
-def _grounded_colsums(lap, i: int) -> list:
-    """Column sums of adj(L + diag(e_i)) for the Laplacian ``lap``, i 1-indexed."""
-    e_i = [0] * len(lap)
+@functools.lru_cache(maxsize=256)
+def _grounded_colsums(g: Graph, i: int) -> tuple:
+    """Column sums of adj(L + diag(e_i)), i 1-indexed.
+
+    Cached per (graph, vertex): ``compare_half`` over all pairs, the
+    adjugate-minor identity and ``se_set`` then share n adjugates.
+    """
+    e_i = [0] * g.n
     e_i[i - 1] = 1
-    adj = adjugate_int(plus_diag(lap, e_i))
-    return [sum(col) for col in zip(*adj)]
+    adj = adjugate_int(plus_diag(laplacian(g), e_i))
+    return tuple(sum(col) for col in zip(*adj))
 
 
 def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:
@@ -235,7 +265,7 @@ def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:
     for v in (i, j):
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return _grounded_colsums(laplacian(g), i)[j - 1]
+    return _grounded_colsums(g, i)[j - 1]
 
 
 def compare_half(g: Graph, i: int, j: int) -> Ordering:
@@ -303,8 +333,7 @@ def se_set(g: Graph) -> tuple:
     if not is_connected(g):
         raise ValueError("graph not connected")
     n = g.n
-    lap = laplacian(g)
-    colsums = [_grounded_colsums(lap, i) for i in range(1, n + 1)]
+    colsums = [_grounded_colsums(g, i) for i in range(1, n + 1)]
     members = [
         i
         for i in range(1, n + 1)

@@ -116,27 +116,29 @@ def simulate(
     states = [x.copy()]
     steps = max(1, math.ceil(cfg.t_end / dt))
     converged = False
-    for step in range(1, steps + 1):
-        k1 = a @ x + const
-        k2 = a @ (x + 0.5 * dt * k1) + const
-        k3 = a @ (x + 0.5 * dt * k2) + const
-        k4 = a @ (x + dt * k3) + const
-        delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = x + delta
-        if not np.all(np.isfinite(x)):
-            raise ValueError(
-                "state became non-finite during integration; the leader states "
-                "are too large in magnitude for floating point"
-            )
-        t = step * dt
-        rate = float(np.max(np.abs(delta))) / dt
-        done = rate < cfg.convergence_tol
-        if done or step == steps or step % cfg.record_stride == 0:
-            times.append(t)
-            states.append(x.copy())
-        if done:
-            converged = True
-            break
+    # Overflow is reported by the finite check below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            k1 = a @ x + const
+            k2 = a @ (x + 0.5 * dt * k1) + const
+            k3 = a @ (x + 0.5 * dt * k2) + const
+            k4 = a @ (x + dt * k3) + const
+            delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = x + delta
+            if not np.all(np.isfinite(x)):
+                raise ValueError(
+                    "state became non-finite during integration; the leader states "
+                    "are too large in magnitude for floating point"
+                )
+            t = step * dt
+            rate = float(np.max(np.abs(delta))) / dt
+            done = rate < cfg.convergence_tol
+            if done or step == steps or step % cfg.record_stride == 0:
+                times.append(t)
+                states.append(x.copy())
+            if done:
+                converged = True
+                break
     return Trajectory(
         times=np.array(times), states=np.vstack(states), converged=converged
     )

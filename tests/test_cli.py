@@ -172,6 +172,7 @@ class TestSimulate:
             (("--tol", "nan"), "convergence_tol must be positive and finite"),
             (("--y1", "1e400"), "floating-point range"),
             (("--y1", "1e308"), "non-finite"),
+            (("--y0=-1e307", "--y1=1e308"), "non-finite"),
         )
         for extra, message in cases:
             code, _, err = run(
@@ -179,6 +180,9 @@ class TestSimulate:
             )
             assert code == 2, extra
             assert message in err, extra
+            # nothing but the one error line: no numpy warning ahead of it
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (extra, err)
 
     def test_bad_vertex_list(self, capsys):
         code, _, err = run(

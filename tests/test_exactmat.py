@@ -6,6 +6,7 @@ import pytest
 from helpers import connected_corpus, det_permutation, spanning_trees_by_enumeration
 from leadergame.exactmat import (
     adjugate_int,
+    bareiss,
     determinant_int,
     inverse_rational,
     is_positive_definite,
@@ -115,6 +116,26 @@ class TestAdjugate:
             if det_permutation(m) == 0 and any(any(row) for row in adj):
                 nonzero_singular += 1
         assert nonzero_singular > 0
+
+
+class TestBareiss:
+    def test_identity_rhs_gives_det_and_adjugate(self):
+        rng = random.Random(31)
+        seen = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = random_int_matrix(rng, n)
+            det = determinant_int(m)
+            if det == 0:
+                continue
+            seen += 1
+            eye = [[int(r == c) for c in range(n)] for r in range(n)]
+            assert bareiss(m, eye) == (det, adjugate_int(m))
+        assert seen > 0
+
+    def test_singular(self):
+        assert bareiss(laplacian(generate("cycle", 5)), [[1]] * 5) == (0, None)
+        assert bareiss([[1, 2], [2, 4]], [[1, 0], [0, 1]]) == (0, None)
 
 
 class TestSolve:

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import leadergame.game as game_module
 from helpers import connected_corpus
 from leadergame.exactmat import spanning_tree_count
 from leadergame.game import (
@@ -24,7 +28,7 @@ from leadergame.game import (
     security_sets,
     shortcut_optimal,
 )
-from leadergame.graphs import build_graph, generate
+from leadergame.graphs import build_graph, generate, random_connected_graph
 
 P3 = generate("path", 3)
 C6 = generate("cycle", 6)
@@ -39,6 +43,19 @@ P3_MATRIX = (
 
 def strat(n, verts, index=0):
     return Strategy(index=index, n=n, vertices=tuple(verts))
+
+
+def oracle_entries(g, k):
+    """The outcome matrix from one independent n x n solve per entry."""
+    s = enumerate_strategies(g.n, k)
+    return tuple(tuple(outcome_entry(g, si, sj) for sj in s) for si in s)
+
+
+def assert_matches_oracle(g, k):
+    entries = outcome_matrix(g, k).entries
+    assert all(type(v) is Fraction for row in entries for v in row)
+    assert entries == oracle_entries(g, k)
+    return entries
 
 
 class TestEnumerate:
@@ -121,6 +138,34 @@ class TestOutcomeMatrix:
                     for j in range(u.size):
                         assert u.entries[i][j] + u.entries[j][i] == 1
                         assert 0 < u.entries[i][j] < 1
+
+
+class TestOutcomeMatrixOracle:
+    """The per-row adjugate route against the per-entry solve, bit-exactly."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_corpus(self, k):
+        for g in connected_corpus(seed=353, count=12, n_min=2, n_max=6):
+            if k <= g.n:
+                assert_matches_oracle(g, k)
+
+    @pytest.mark.parametrize(
+        "kind, n, k",
+        [("path", 1, 1), ("complete", 2, 2), ("star", 5, 5), ("cycle", 7, 3), ("complete", 6, 3)],
+    )
+    def test_named_graphs(self, kind, n, k):
+        assert_matches_oracle(generate(kind, n), k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), data=st.data())
+    def test_random_graphs(self, seed, n, data):
+        k = data.draw(st.integers(1, min(3, n)), label="k")
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, extra_edge_prob=rng.choice([0.15, 0.3, 0.5, 0.7]))
+        entries = assert_matches_oracle(g, k)
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                assert v + entries[j][i] == 1
 
 
 class TestGameSolution:
@@ -222,6 +267,24 @@ class TestHalfComparison:
                         else Ordering.EQUAL if entry == HALF else Ordering.GREATER
                     )
                     assert compare_half(g, i, j) is expected
+
+    def test_one_adjugate_per_vertex(self, monkeypatch):
+        calls = []
+        real = game_module.adjugate_int
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(game_module, "adjugate_int", counting)
+        game_module._grounded_colsums.cache_clear()
+        g = generate("path", 6)
+        for i in range(1, 7):
+            for j in range(1, 7):
+                if i != j:
+                    compare_half(g, i, j)
+        game_module._grounded_colsums.cache_clear()
+        assert calls == [6] * 6
 
 
 class TestOnesRowMinor:
