@@ -94,7 +94,8 @@ def _minor(m, i: int, j: int):
     ]
 
 
-def _identity(n: int):
+def identity(n: int):
+    """The n x n integer identity matrix."""
     return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
@@ -105,7 +106,7 @@ def adjugate_int(m):
     has no inverse to scale, so its entries come from the n^2 signed minors.
     """
     n = _require_square(m)
-    _, adj = bareiss(m, _identity(n))
+    _, adj = bareiss(m, identity(n))
     if adj is not None:
         return adj
     return [
@@ -166,7 +167,7 @@ def is_positive_definite(m) -> bool:
 
 def inverse_rational(m) -> list:
     """Exact inverse as a matrix of Fractions: adjugate over determinant."""
-    det, adj = bareiss(m, _identity(_require_square(m)))
+    det, adj = bareiss(m, identity(_require_square(m)))
     if adj is None:
         raise ValueError("matrix is singular")
     return [[Fraction(v, det) for v in row] for row in adj]

@@ -11,7 +11,8 @@ adjugate per row and a k x k fraction-free correction per entry;
 ``outcome_entry`` solves each entry independently with one n x n system and
 is the oracle the fast route is tested against; ``compare_half`` orders a
 single-link entry against 1/2 from adjugate column sums without forming the
-entry at all. Their agreement is itself a tested deliverable.
+entry at all. Their agreement is itself a tested deliverable, and ``verify``
+checks the third route against the second on any given graph.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .containment import LeaderLinks, grounded
-from .exactmat import adjugate_int, bareiss, determinant_int, plus_diag, solve_rational
+from .exactmat import adjugate_int, bareiss, determinant_int, identity, plus_diag, solve_rational
 from .graphs import Graph, center_vertices, is_circulant_labeled, is_connected, laplacian, neighbors
 
 DEFAULT_STRATEGY_CAP = 20000
@@ -170,7 +171,7 @@ def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> Outcome
     strategies = enumerate_strategies(g.n, k, cap=cap)
     lap = laplacian(g)
     n = g.n
-    eye = [[int(r == c) for c in range(n)] for r in range(n)]
+    eye = identity(n)
     ones = [[1]] * k
     rows = []
     for si in strategies:
@@ -251,7 +252,9 @@ def _grounded_colsums(g: Graph, i: int) -> tuple:
     """Column sums of adj(L + diag(e_i)), i 1-indexed.
 
     Cached per (graph, vertex): ``compare_half`` over all pairs, the
-    adjugate-minor identity and ``se_set`` then share n adjugates.
+    adjugate-minor identity and ``se_set`` then share n adjugates. Graphs
+    are frozen and the results are tuples, so no caller can change a
+    cached value.
     """
     e_i = [0] * g.n
     e_i[i - 1] = 1

@@ -1,5 +1,10 @@
 """Self-check suites: re-derive the library's structural guarantees on one
 graph, reporting pass/fail per suite with a counterexample on failure.
+
+The structural suites run on ``outcome_matrix``; the single-link suites run
+on a matrix built entry by entry with ``outcome_entry``, so the integer
+half-comparison and the se-set are checked against an independent n x n
+solve, not against the grounded adjugates they are computed from.
 """
 from __future__ import annotations
 
@@ -13,12 +18,15 @@ from .game import (
     HALF,
     Dominance,
     Ordering,
+    OutcomeMatrix,
     compare_half,
+    enumerate_strategies,
     game_values,
     grounded_adjugate_sum,
     m_ij,
     nash_equilibria,
     neighborhood_dominance,
+    outcome_entry,
     outcome_matrix,
     se_set,
     security_sets,
@@ -117,10 +125,16 @@ def run_checks(g: Graph, k: int = 1, seed: int = 0) -> list:
         detail = "" if ok else f"pairs={full.nash_pairs}"
     results.append(CheckResult("nash-consistency", ok, detail))
 
-    u1 = u if k == 1 else outcome_matrix(g, 1)
-    results.extend(_single_link_checks(g, u1))
+    results.extend(_single_link_checks(g, _entrywise_single_link(g)))
     results.extend(_containment_checks(g, seed))
     return results
+
+
+def _entrywise_single_link(g: Graph) -> OutcomeMatrix:
+    """The single-link outcome matrix from one ``outcome_entry`` solve per entry."""
+    s = tuple(enumerate_strategies(g.n, 1))
+    entries = tuple(tuple(outcome_entry(g, si, sj) for sj in s) for si in s)
+    return OutcomeMatrix(graph=g, k=1, strategies=s, entries=entries)
 
 
 def _single_link_checks(g: Graph, u1) -> list:

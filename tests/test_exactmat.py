@@ -8,6 +8,7 @@ from leadergame.exactmat import (
     adjugate_int,
     bareiss,
     determinant_int,
+    identity,
     inverse_rational,
     is_positive_definite,
     plus_diag,
@@ -129,8 +130,7 @@ class TestBareiss:
             if det == 0:
                 continue
             seen += 1
-            eye = [[int(r == c) for c in range(n)] for r in range(n)]
-            assert bareiss(m, eye) == (det, adjugate_int(m))
+            assert bareiss(m, identity(n)) == (det, adjugate_int(m))
         assert seen > 0
 
     def test_singular(self):
