@@ -41,6 +41,7 @@ from .game import (
     optimal_topologies,
     outcome_entry,
     outcome_matrix,
+    outcome_rows,
     se_set,
     security_sets,
     shortcut_optimal,

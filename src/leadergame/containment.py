@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactmat import plus_diag, solve_rational
+from .exactmat import bareiss, plus_diag
 from .graphs import Graph, is_connected, laplacian
 
 
@@ -97,12 +97,13 @@ def _check_steady_inputs(g: Graph, links: LeaderLinks) -> None:
 
 
 def convex_weights(g: Graph, links: LeaderLinks) -> ConvexWeights:
-    """Exact weights alpha = M^-1 b and beta = M^-1 d for M = L + diag(b+d)."""
+    """Exact weights alpha = M^-1 b and beta = M^-1 d for M = L + diag(b+d),
+    both from one elimination of [M | b d]."""
     _check_steady_inputs(g, links)
-    m = grounded(g, links)
-    alpha = solve_rational(m, list(links.b))
-    beta = solve_rational(m, list(links.d))
-    return ConvexWeights(alpha=tuple(alpha), beta=tuple(beta))
+    det, x = bareiss(grounded(g, links), list(zip(links.b, links.d)))
+    alpha = tuple(Fraction(a, det) for a, _ in x)
+    beta = tuple(Fraction(b, det) for _, b in x)
+    return ConvexWeights(alpha=alpha, beta=beta)
 
 
 def steady_state(g: Graph, links: LeaderLinks, ys: LeaderStates) -> tuple:

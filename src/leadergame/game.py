@@ -6,13 +6,15 @@ leader 0 picks strategy i and leader 1 picks strategy j: an exact rational
 strictly between 0 and 1. Leader 0 minimizes, leader 1 maximizes, and a
 saddle point of the matrix is an optimal topology of the system.
 
-Three routes are kept on purpose. ``outcome_matrix`` takes one grounded
-adjugate per row and a k x k fraction-free correction per entry;
-``outcome_entry`` solves each entry independently with one n x n system and
-is the oracle the fast route is tested against; ``compare_half`` orders a
-single-link entry against 1/2 from adjugate column sums without forming the
-entry at all. Their agreement is itself a tested deliverable, and ``verify``
-checks the third route against the second on any given graph.
+One grounded elimination, ``_grounded_adjugate``, gives det and adjugate
+of L + diag(1_S). Rows from ``outcome_rows`` take one such elimination per
+row and a k x k fraction-free correction per entry; they feed
+``outcome_matrix`` and ``reconstruct``. ``compare_half`` and ``se_set``
+order a single-link entry against 1/2 from the same adjugate's column sums
+without forming the entry at all. ``outcome_entry`` solves each entry
+independently with one n x n system and is the oracle the row route is
+tested against; ``verify`` checks the half-comparison against it on any
+given graph.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .containment import LeaderLinks, grounded
-from .exactmat import adjugate_int, bareiss, determinant_int, identity, plus_diag, solve_rational
+from .exactmat import bareiss, determinant_int, identity, plus_diag
 from .graphs import Graph, center_vertices, is_circulant_labeled, is_connected, laplacian, neighbors
 
 DEFAULT_STRATEGY_CAP = 20000
@@ -137,22 +139,60 @@ def enumerate_strategies(n: int, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> lis
     ]
 
 
-def outcome_entry(g: Graph, s_i: Strategy, s_j: Strategy) -> Fraction:
-    """Exact outcome for the ordered pair (s_i, s_j): the mean of
-    (L + diag(s_i + s_j))^-1 s_j over all followers."""
-    if s_i.n != g.n or s_j.n != g.n:
+def _check_strategies(g: Graph, strategies) -> None:
+    if any(s.n != g.n for s in strategies):
         raise ValueError("strategy length does not match the vertex count")
-    if s_i.k != s_j.k:
+    if len({s.k for s in strategies}) > 1:
         raise ValueError("both leaders must attach to the same number of followers")
     if not is_connected(g):
         raise ValueError("graph not connected")
+
+
+def outcome_entry(g: Graph, s_i: Strategy, s_j: Strategy) -> Fraction:
+    """Exact outcome for the ordered pair (s_i, s_j): the mean of
+    (L + diag(s_i + s_j))^-1 s_j over all followers."""
+    _check_strategies(g, (s_i, s_j))
     m = grounded(g, LeaderLinks(b=s_i.indicator, d=s_j.indicator))
-    x = solve_rational(m, list(s_j.indicator))
-    return sum(x, start=Fraction(0)) / g.n
+    det, x = bareiss(m, [[v] for v in s_j.indicator])
+    return Fraction(sum(row[0] for row in x), g.n * det)
 
 
-def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> OutcomeMatrix:
-    """Full outcome matrix for the k-follower game on g.
+def _grounded_adjugate(lap, s, eye) -> tuple:
+    """(D, A) with D = det(L + diag(s)) and A its adjugate, from one
+    elimination of [L + diag(s) | I]; ``lap`` is L and ``eye`` is I.
+
+    A is a symmetric integer matrix. The grounded matrix is singular exactly
+    when some component of the graph holds no vertex of s.
+    """
+    big_d, adj = bareiss(plus_diag(lap, s), eye)
+    if adj is None:
+        raise ValueError("graph not connected")
+    return big_d, adj
+
+
+def _rows(g: Graph, strategies: tuple):
+    """Outcome rows of a connected graph; see ``outcome_rows``."""
+    if not strategies:
+        return
+    n = g.n
+    lap = laplacian(g)
+    eye = identity(n)
+    ones = [[1]] * strategies[0].k
+    cols = [[t - 1 for t in s.vertices] for s in strategies]
+    for si in strategies:
+        big_d, adj = _grounded_adjugate(lap, si.indicator, eye)
+        z = [sum(row) for row in adj]
+        row = []
+        for idx in cols:
+            corr = [[adj[r][c] + (big_d if r == c else 0) for c in idx] for r in idx]
+            d, y = bareiss(corr, ones)
+            num = sum(z[t] * yt[0] for t, yt in zip(idx, y))
+            row.append(Fraction(num, n * d))
+        yield tuple(row)
+
+
+def outcome_rows(g: Graph, strategies):
+    """The rows of the outcome matrix over ``strategies``, one at a time.
 
     Row S takes one elimination of M_S = L + diag(1_S), giving D = det M_S
     and the symmetric integer adjugate A, and z = A 1. Column T adds
@@ -161,31 +201,26 @@ def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> Outcome
 
         u(S, T) = z_T . y / (n d),  d = det(D I + A_TT),  y = d (D I + A_TT)^-1 1,
 
-    one k x k integer elimination per entry. Nothing is assumed about the
-    diagonal or the involution u + u^T = 1: every entry is computed, so the
-    structural identities stay checkable facts, and ``outcome_entry`` remains
-    the independent per-entry oracle.
+    one k x k integer elimination per entry. The inputs are checked before
+    the first row is asked for; a caller that stops early skips the rest.
+    """
+    strategies = tuple(strategies)
+    _check_strategies(g, strategies)
+    return _rows(g, strategies)
+
+
+def outcome_matrix(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> OutcomeMatrix:
+    """Full outcome matrix for the k-follower game on g, row by row as
+    ``outcome_rows`` yields them.
+
+    Nothing is assumed about the diagonal or the involution u + u^T = 1:
+    every entry is computed, so the structural identities stay checkable
+    facts, and ``outcome_entry`` remains the independent per-entry oracle.
     """
     if not is_connected(g):
         raise ValueError("graph not connected")
-    strategies = enumerate_strategies(g.n, k, cap=cap)
-    lap = laplacian(g)
-    n = g.n
-    eye = identity(n)
-    ones = [[1]] * k
-    rows = []
-    for si in strategies:
-        big_d, adj = bareiss(plus_diag(lap, si.indicator), eye)
-        z = [sum(row) for row in adj]
-        row = []
-        for sj in strategies:
-            idx = [t - 1 for t in sj.vertices]
-            corr = [[adj[r][c] + (big_d if r == c else 0) for c in idx] for r in idx]
-            d, y = bareiss(corr, ones)
-            num = sum(z[t] * yt[0] for t, yt in zip(idx, y))
-            row.append(Fraction(num, n * d))
-        rows.append(tuple(row))
-    return OutcomeMatrix(graph=g, k=k, strategies=tuple(strategies), entries=tuple(rows))
+    strategies = tuple(enumerate_strategies(g.n, k, cap=cap))
+    return OutcomeMatrix(graph=g, k=k, strategies=strategies, entries=tuple(_rows(g, strategies)))
 
 
 def _scan(u: OutcomeMatrix) -> tuple:
@@ -251,15 +286,15 @@ def optimal_topologies(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> lis
 def _grounded_colsums(g: Graph, i: int) -> tuple:
     """Column sums of adj(L + diag(e_i)), i 1-indexed.
 
-    Cached per (graph, vertex): ``compare_half`` over all pairs, the
-    adjugate-minor identity and ``se_set`` then share n adjugates. Graphs
-    are frozen and the results are tuples, so no caller can change a
-    cached value.
+    The adjugate is symmetric, so these are its row sums. Cached per
+    (graph, vertex): ``compare_half`` over all pairs, the adjugate-minor
+    identity and ``se_set`` then share n adjugates. Graphs are frozen and
+    the results are tuples, so no caller can change a cached value.
     """
     e_i = [0] * g.n
     e_i[i - 1] = 1
-    adj = adjugate_int(plus_diag(laplacian(g), e_i))
-    return tuple(sum(col) for col in zip(*adj))
+    _, adj = _grounded_adjugate(laplacian(g), e_i, identity(g.n))
+    return tuple(sum(row) for row in adj)
 
 
 def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:

@@ -4,13 +4,15 @@ The benchmark publishes only the single-link outcome matrix, rounded to four
 decimal places, for a 6-vertex graph in which vertex 1 is a center node. The
 hub edges are therefore forced, and the ten possible rim edges among vertices
 2..6 leave 1024 candidates; exact matrices decide which candidates reproduce
-the published values.
+the published values. Each candidate's matrix is read row by row from
+``game.outcome_rows`` and dropped at the first row that misses.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
-from .game import enumerate_strategies, outcome_entry
+from .game import enumerate_strategies, outcome_rows
 from .graphs import Graph, build_graph
 
 BENCHMARK_N = 6
@@ -41,14 +43,15 @@ def hub_candidates():
 
 
 def matches_benchmark(g: Graph, matrix=BENCHMARK_MATRIX_4DP, tol: float = BENCHMARK_TOL) -> bool:
-    """True iff every exact single-link outcome of g rounds to the published
-    entry. Entries are compared in row-major order with an early exit."""
-    strategies = enumerate_strategies(g.n, 1)
-    for i, si in enumerate(strategies):
-        for j, sj in enumerate(strategies):
-            u = outcome_entry(g, si, sj)
-            if abs(float(u) - matrix[i][j]) > tol:
-                return False
+    """True iff every exact single-link outcome of g is within ``tol`` of the
+    published entry. Rows are compared in order with an early exit; ``tol``
+    must be finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    rows = outcome_rows(g, enumerate_strategies(g.n, 1))
+    for row, published in zip(rows, matrix, strict=True):
+        if any(abs(float(u) - p) > tol for u, p in zip(row, published, strict=True)):
+            return False
     return True
 
 

@@ -216,3 +216,15 @@ class TestReconstruct:
         assert match["rim_edges"] == [[3, 4], [4, 5], [5, 6]]
         assert match["hub_pair_is_nash"] is True
         assert match["hub_in_security_set"] is True
+
+    def test_bad_tolerance_rejected(self, capsys):
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, "reconstruct-example2", f"--tol={tol}")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: tolerance must be finite and >= 0")
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run(capsys, "reconstruct-example2", "--tol", "0")
+        assert code == 0
+        assert json.loads(out)["matches"] == []

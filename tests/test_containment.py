@@ -90,6 +90,9 @@ class TestConvexWeights:
             assert all(a + b == 1 for a, b in zip(w.alpha, w.beta))
             assert all(0 < a < 1 for a in w.alpha)
             assert all(0 < b < 1 for b in w.beta)
+            m = grounded(g, links)
+            assert [sum(r * a for r, a in zip(row, w.alpha)) for row in m] == list(links.b)
+            assert [sum(r * b for r, b in zip(row, w.beta)) for row in m] == list(links.d)
 
     def test_empty_links_rejected(self):
         p3 = generate("path", 3)

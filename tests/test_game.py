@@ -4,7 +4,8 @@ import pytest
 
 import leadergame.game as game_module
 from helpers import connected_corpus
-from leadergame.exactmat import spanning_tree_count
+from leadergame.containment import LeaderLinks, convex_weights
+from leadergame.exactmat import identity, spanning_tree_count
 from leadergame.game import (
     HALF,
     Dominance,
@@ -21,6 +22,7 @@ from leadergame.game import (
     optimal_topologies,
     outcome_entry,
     outcome_matrix,
+    outcome_rows,
     se_set,
     security_sets,
     shortcut_optimal,
@@ -46,6 +48,20 @@ def oracle_entries(g, k):
     """The outcome matrix from one independent n x n solve per entry."""
     s = enumerate_strategies(g.n, k)
     return tuple(tuple(outcome_entry(g, si, sj) for sj in s) for si in s)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The diagonal vector of every grounded elimination, in call order."""
+    calls = []
+    real = game_module._grounded_adjugate
+
+    def counting(lap, s, eye):
+        calls.append(tuple(s))
+        return real(lap, s, eye)
+
+    monkeypatch.setattr(game_module, "_grounded_adjugate", counting)
+    return calls
 
 
 def assert_matches_oracle(g, k):
@@ -110,6 +126,20 @@ class TestOutcomeEntry:
         with pytest.raises(ValueError, match="same number"):
             outcome_entry(P3, strat(3, [1]), strat(3, [1, 2]))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_containment_weights(self, k):
+        # the mean of beta = M^-1 d from convex_weights, M = L + diag(b + d)
+        for g in connected_corpus(seed=367, count=8, n_min=2, n_max=6):
+            if k > g.n:
+                continue
+            s = enumerate_strategies(g.n, k)
+            for si in s:
+                for sj in s:
+                    w = convex_weights(g, LeaderLinks(b=si.indicator, d=sj.indicator))
+                    u = outcome_entry(g, si, sj)
+                    assert type(u) is Fraction
+                    assert u == sum(w.beta, start=Fraction(0)) / g.n
+
 
 class TestOutcomeMatrix:
     def test_path_matrix(self):
@@ -152,6 +182,39 @@ class TestOutcomeMatrixOracle:
     )
     def test_named_graphs(self, kind, n, k):
         assert_matches_oracle(generate(kind, n), k)
+
+
+class TestOutcomeRows:
+    def test_rows_are_the_matrix(self):
+        for g in connected_corpus(seed=359, count=6, n_min=2, n_max=6):
+            for k in (1, 2):
+                if k <= g.n:
+                    u = outcome_matrix(g, k)
+                    assert tuple(outcome_rows(g, u.strategies)) == u.entries
+
+    def test_one_elimination_per_row(self, eliminations, monkeypatch):
+        checks = []
+        real = game_module.is_connected
+        monkeypatch.setattr(game_module, "is_connected", lambda g: checks.append(g) or real(g))
+        s = enumerate_strategies(6, 2)
+        rows = outcome_rows(C6, s)
+        assert eliminations == []
+        next(rows)
+        assert eliminations == [s[0].indicator]
+        outcome_matrix(C6, 2)
+        assert eliminations[1:] == [si.indicator for si in s]
+        assert checks == [C6, C6]
+
+    def test_bad_input_rejected_before_any_row(self):
+        with pytest.raises(ValueError, match="not connected"):
+            outcome_rows(build_graph(3, [(1, 2)]), enumerate_strategies(3, 1))
+        with pytest.raises(ValueError, match="vertex count"):
+            outcome_rows(P3, enumerate_strategies(4, 1))
+        with pytest.raises(ValueError, match="same number"):
+            outcome_rows(P3, [strat(3, [1]), strat(3, [1, 2])])
+
+    def test_no_strategies_no_rows(self):
+        assert list(outcome_rows(P3, [])) == []
 
 
 class TestGameSolution:
@@ -254,15 +317,7 @@ class TestHalfComparison:
                     )
                     assert compare_half(g, i, j) is expected
 
-    def test_one_adjugate_per_vertex(self, monkeypatch):
-        calls = []
-        real = game_module.adjugate_int
-
-        def counting(m):
-            calls.append(len(m))
-            return real(m)
-
-        monkeypatch.setattr(game_module, "adjugate_int", counting)
+    def test_one_adjugate_per_vertex(self, eliminations):
         game_module._grounded_colsums.cache_clear()
         g = generate("path", 6)
         for i in range(1, 7):
@@ -270,7 +325,14 @@ class TestHalfComparison:
                 if i != j:
                     compare_half(g, i, j)
         game_module._grounded_colsums.cache_clear()
-        assert calls == [6] * 6
+        assert sorted(eliminations, reverse=True) == [tuple(r) for r in identity(6)]
+
+    def test_disconnected_rejected(self):
+        g = build_graph(3, [(1, 2)])
+        with pytest.raises(ValueError, match="not connected"):
+            grounded_adjugate_sum(g, 1, 3)
+        with pytest.raises(ValueError, match="not connected"):
+            compare_half(g, 1, 3)
 
 
 class TestOnesRowMinor:

@@ -1,4 +1,8 @@
-from leadergame.game import nash_equilibria, outcome_matrix
+import math
+
+import pytest
+
+from leadergame.game import enumerate_strategies, nash_equilibria, outcome_entry, outcome_matrix
 from leadergame.graphs import center_vertices, is_connected
 from leadergame.reconstruct import (
     BENCHMARK_MATRIX_4DP,
@@ -54,3 +58,34 @@ def test_near_miss_candidate_fails():
 
     g = build_graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (3, 4), (4, 5)])
     assert not matches_benchmark(g)
+
+
+def entrywise_match(g):
+    """Early-exit scan with one independent n x n solve per entry."""
+    s = enumerate_strategies(g.n, 1)
+    return all(
+        abs(float(outcome_entry(g, si, sj)) - BENCHMARK_MATRIX_4DP[si.index][sj.index])
+        <= BENCHMARK_TOL
+        for si in s
+        for sj in s
+    )
+
+
+def test_row_scan_agrees_with_entrywise_scan():
+    verdicts = [(matches_benchmark(g), entrywise_match(g)) for g in hub_candidates()]
+    assert len(verdicts) == 1024
+    assert all(rows == entries for rows, entries in verdicts)
+    assert sum(rows for rows, _ in verdicts) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_bad_tolerance_rejected(tol):
+    g = next(hub_candidates())
+    with pytest.raises(ValueError, match="tolerance"):
+        matches_benchmark(g, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        reconstruct_benchmark(tol=tol)
+
+
+def test_zero_tolerance_accepted():
+    assert reconstruct_benchmark(tol=0) == []
