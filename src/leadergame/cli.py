@@ -36,7 +36,7 @@ from .reconstruct import (
     reconstruct_benchmark,
     rim_edges,
 )
-from .simulate import SimConfig, simulate, terminal_residual, trajectory_csv
+from .simulate import SimConfig, decay_rate, simulate, terminal_residual, trajectory_csv
 from .verify import run_checks
 
 
@@ -173,7 +173,8 @@ def _cmd_simulate(args) -> int:
     state = ",".join(f"{v:.12g}" for v in traj.terminal_state)
     print(
         f"terminal t={traj.times[-1]:.12g} converged={traj.converged} "
-        f"state=[{state}] max-residual-vs-analytic={resid:.3e}",
+        f"state=[{state}] max-residual-vs-analytic={resid:.3e} "
+        f"decay-rate={decay_rate(g, links):.12g}",
         file=sys.stderr,
     )
     return 0

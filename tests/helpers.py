@@ -2,12 +2,16 @@
 
 The oracles here deliberately avoid the library's computation paths:
 determinants come from permutation expansion, spanning trees from explicit
-subset enumeration, connectivity from union-find.
+subset enumeration, connectivity from union-find, simulated trajectories
+from a four-stage RK4 loop and an eigendecomposition.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
+
+import numpy as np
 
 from leadergame.containment import LeaderLinks
 from leadergame.graphs import Graph, random_connected_graph
@@ -94,3 +98,45 @@ def random_links(rng: random.Random, n: int, max_each: int = 3) -> LeaderLinks:
     return LeaderLinks.from_vertices(
         n, rng.sample(range(1, n + 1), k0), rng.sample(range(1, n + 1), k1)
     )
+
+
+def flow_system(g: Graph, links: LeaderLinks, ys):
+    """M = L + diag(b+d) built from the edge list, and c = b y0 + d y1, so the
+    follower flow is x' = -M x + c."""
+    m = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        m[u - 1, v - 1] -= 1.0
+        m[v - 1, u - 1] -= 1.0
+        m[u - 1, u - 1] += 1.0
+        m[v - 1, v - 1] += 1.0
+    m += np.diag(np.add(links.b, links.d).astype(float))
+    c = np.array(links.b, dtype=float) * float(ys.y0) + np.array(links.d, dtype=float) * float(ys.y1)
+    return m, c
+
+
+def rk4_oracle(g: Graph, links: LeaderLinks, x0, ys, dt: float, t_end: float, tol: float):
+    """Classical four-stage RK4, one state per step, with the simulator's
+    stopping rule (max-norm increment per unit time below tol, else
+    max(1, ceil(t_end / dt)) steps). Returns (states, converged)."""
+    m, c = flow_system(g, links, ys)
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for _ in range(max(1, math.ceil(t_end / dt))):
+        k1 = c - m @ x
+        k2 = c - m @ (x + 0.5 * dt * k1)
+        k3 = c - m @ (x + 0.5 * dt * k2)
+        k4 = c - m @ (x + dt * k3)
+        delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + delta
+        states.append(x)
+        if np.max(np.abs(delta)) / dt < tol:
+            return np.vstack(states), True
+    return np.vstack(states), False
+
+
+def closed_form_state(g: Graph, links: LeaderLinks, x0, ys, t: float) -> np.ndarray:
+    """x(t) = x* + exp(-M t)(x0 - x*) through the eigendecomposition of M."""
+    m, c = flow_system(g, links, ys)
+    w, vecs = np.linalg.eigh(m)
+    x_star = vecs @ ((vecs.T @ c) / w)
+    return x_star + vecs @ (np.exp(-w * t) * (vecs.T @ (np.asarray(x0, dtype=float) - x_star)))

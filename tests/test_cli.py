@@ -1,6 +1,11 @@
+import importlib
 import json
+import math
 
 from leadergame.cli import main
+
+# the package re-exports the function simulate under the module's name
+SIMULATE_MODULE = importlib.import_module("leadergame.simulate")
 
 
 def run(capsys, *argv):
@@ -173,6 +178,12 @@ class TestSimulate:
             (("--y1", "1e400"), "floating-point range"),
             (("--y1", "1e308"), "non-finite"),
             (("--y0=-1e307", "--y1=1e308"), "non-finite"),
+            # stage bound finite, but the CSV distance sums n * |x - y| overflow
+            (
+                ("--graph", "path:100", "--b", "1", "--d", "100",
+                 "--y0=-1e307", "--y1", "1e307", "--t-end", "1"),
+                "non-finite",
+            ),
         )
         for extra, message in cases:
             code, _, err = run(
@@ -183,6 +194,49 @@ class TestSimulate:
             # nothing but the one error line: no numpy warning ahead of it
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (extra, err)
+
+    def test_large_states_inside_the_limit(self, capsys):
+        # 100 * (8e305 + 8e305) = 1.6e308 is still a float: the run proceeds
+        code, out, err = run(
+            capsys,
+            "simulate", "--graph", "path:100", "--b", "1", "--d", "100",
+            "--y0=-8e305", "--y1", "8e305", "--t-end", "1",
+        )
+        assert code == 0
+        assert len(err.splitlines()) == 1 and err.startswith("terminal ")
+        rows = out.strip().splitlines()[1:]
+        assert all(math.isfinite(float(tok)) for row in rows for tok in row.split(","))
+
+    def test_recorded_values_budget(self, capsys, monkeypatch):
+        # a huge horizon is fine when the run converges early
+        code, out, err = run(
+            capsys,
+            "simulate", "--graph", "path:3", "--b", "1", "--d", "2", "--t-end", "1e12",
+        )
+        assert code == 0
+        assert "converged=True" in err
+        monkeypatch.setattr(SIMULATE_MODULE, "MAX_RECORDED_VALUES", 1000)
+        code, out, err = run(
+            capsys,
+            "simulate", "--graph", "path:3", "--b", "1", "--d", "2", "--tol", "1e-300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: trajectory exceeds 1000 recorded values (samples x (n + 3)); "
+            "shorten t_end or loosen the tolerance"
+        ]
+
+    def test_decay_rate(self, capsys):
+        # L + diag(b+d) = [[1,-1,0],[-1,4,-1],[0,-1,1]]: eigenvalues 1 and (5 ± sqrt 17)/2
+        code, out, err = run(
+            capsys,
+            "simulate", "--graph", "path:3", "--b", "2", "--d", "2",
+        )
+        assert code == 0
+        token = err.split()[-1]
+        assert token.startswith("decay-rate=")
+        assert abs(float(token.split("=")[1]) - (5 - math.sqrt(17)) / 2) < 1e-12
 
     def test_bad_vertex_list(self, capsys):
         code, _, err = run(

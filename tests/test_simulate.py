@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from helpers import connected_corpus, random_links
+from helpers import closed_form_state, connected_corpus, random_links, rk4_oracle
 from leadergame.containment import LeaderLinks, LeaderStates, steady_state
-from leadergame.graphs import generate
+from leadergame.graphs import generate, random_connected_graph
 from leadergame.simulate import (
     SimConfig,
+    Trajectory,
     average_distances,
     check_property5,
     simulate,
@@ -102,6 +103,39 @@ class TestSimulate:
         assert len(thin.times) < len(dense.times)
 
 
+class TestPropagator:
+    """The precomputed map x <- P x + q against a four-stage RK4 loop."""
+
+    def test_matches_four_stage_oracle(self):
+        rng = random.Random(431)
+        outcomes = set()
+        for t_end in (400.0, 3.0):
+            for g in connected_corpus(seed=433, count=10, n_min=2, n_max=10):
+                links = random_links(rng, g.n)
+                x0 = [rng.uniform(-2.0, 2.0) for _ in range(g.n)]
+                ys = LeaderStates(rng.randint(-3, 0), rng.randint(1, 3))
+                dt = stability_limit(g, links)
+                traj = simulate(g, links, x0, ys, SimConfig(dt=dt, t_end=t_end))
+                states, converged = rk4_oracle(g, links, x0, ys, dt, t_end, 1e-9)
+                assert traj.converged == converged
+                assert traj.states.shape == states.shape
+                np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    traj.times, dt * np.arange(len(states)), rtol=1e-15, atol=0
+                )
+                outcomes.add(converged)
+        assert outcomes == {True, False}
+
+    def test_unconverged_terminal_matches_closed_form(self):
+        g = random_connected_graph(random.Random(439), 10, extra_edge_prob=0.3)
+        links = links_of(g, [1], [10])
+        x0 = [0.5 * (-1) ** i for i in range(g.n)]
+        traj = simulate(g, links, x0, YSPM, SimConfig(t_end=5.0))
+        assert not traj.converged
+        expected = closed_form_state(g, links, x0, YSPM, traj.times[-1])
+        assert np.max(np.abs(traj.terminal_state - expected)) < 1e-6
+
+
 class TestConfig:
     def test_bad_values(self):
         for kwargs in (
@@ -177,6 +211,31 @@ class TestCsv:
         traj = simulate(K2, links, [1 / 3, 2 / 7], YS01, SimConfig(t_end=0.1))
         first_row = trajectory_csv(traj, YS01).splitlines()[1].split(",")
         assert first_row[1] == f"{1 / 3:.12g}"
+
+    def test_matches_fstring_formatter(self):
+        def reference(traj, ys):
+            d0, d1 = average_distances(traj, ys)
+            n = traj.states.shape[1]
+            lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",d0,d1"]
+            for idx, t in enumerate(traj.times):
+                row = [t, *traj.states[idx], d0[idx], d1[idx]]
+                lines.append(",".join(f"{v:.12g}" for v in row))
+            return "\n".join(lines) + "\n"
+
+        edge_values = Trajectory(
+            times=np.array([0.0, 1e-300, 0.125]),
+            states=np.array(
+                [[0.0, -0.0, -1e-300], [1e-300, -2.5, 1 / 3], [-1 / 7, 1e12 + 0.5, -123456.789]]
+            ),
+            converged=False,
+        )
+        assert trajectory_csv(edge_values, YSPM) == reference(edge_values, YSPM)
+        rng = random.Random(443)
+        for g in connected_corpus(seed=449, count=4, n_min=2, n_max=8):
+            links = random_links(rng, g.n)
+            x0 = [rng.uniform(-5.0, 5.0) for _ in range(g.n)]
+            traj = simulate(g, links, x0, YSPM, SimConfig(t_end=2.0))
+            assert trajectory_csv(traj, YSPM) == reference(traj, YSPM)
 
     def test_deterministic(self):
         links = links_of(P3, [2], [3])
