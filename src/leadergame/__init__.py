@@ -45,6 +45,7 @@ from .game import (
     se_set,
     security_sets,
     shortcut_optimal,
+    single_link_report,
 )
 from .graphs import (
     Graph,

@@ -9,7 +9,6 @@ input.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -18,16 +17,21 @@ from .containment import LeaderLinks, LeaderStates
 from .exactmat import spanning_tree_count
 from .game import (
     DEFAULT_STRATEGY_CAP,
-    HALF,
-    GameReport,
     enumerate_strategies,
     game_values,
     nash_equilibria,
     outcome_matrix,
     se_set,
-    shortcut_optimal,
+    single_link_report,
 )
-from .graphs import GENERATOR_KINDS, Graph, format_edge_list, generate, load_edge_list
+from .graphs import (
+    GENERATOR_KINDS,
+    Graph,
+    format_edge_list,
+    generate,
+    is_circulant_labeled,
+    load_edge_list,
+)
 from .reconstruct import (
     BENCHMARK_HUB,
     BENCHMARK_N,
@@ -105,18 +109,9 @@ def _cmd_outcome(args) -> int:
 
 def _cmd_nash(args) -> int:
     g = _resolve_graph(args.graph)
-    shortcut = shortcut_optimal(g) if args.k == 1 else None
-    shortcut_used = shortcut is not None and shortcut.kind == "circulant"
-    if shortcut_used:
+    if args.k == 1:
         strategies = enumerate_strategies(g.n, 1, cap=args.cap)
-        every = tuple(range(len(strategies)))
-        report = GameReport(
-            upper_value=HALF,
-            lower_value=HALF,
-            security_set=every,
-            nash_pairs=tuple(itertools.product(every, every)),
-            nash_value=HALF,
-        )
+        report = single_link_report(g)
     else:
         u = outcome_matrix(g, args.k, cap=args.cap)
         strategies = u.strategies
@@ -129,7 +124,7 @@ def _cmd_nash(args) -> int:
             "security_set": [verts[i] for i in report.security_set],
             "nash_pairs": [[verts[i], verts[j]] for i, j in report.nash_pairs],
             "nash_value": None if report.nash_value is None else _frac(report.nash_value),
-            "shortcut_used": shortcut_used,
+            "shortcut_used": args.k == 1 and is_circulant_labeled(g),
         }
     )
     return 0

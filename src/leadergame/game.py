@@ -9,12 +9,12 @@ saddle point of the matrix is an optimal topology of the system.
 One grounded elimination, ``_grounded_adjugate``, gives det and adjugate
 of L + diag(1_S). Rows from ``outcome_rows`` take one such elimination per
 row and a k x k fraction-free correction per entry; they feed
-``outcome_matrix`` and ``reconstruct``. ``compare_half`` and ``se_set``
-order a single-link entry against 1/2 from the same adjugate's column sums
-without forming the entry at all. ``outcome_entry`` solves each entry
-independently with one n x n system and is the oracle the row route is
-tested against; ``verify`` checks the half-comparison against it on any
-given graph.
+``outcome_matrix`` and ``reconstruct``. One elimination of L + 11^T per
+graph answers every single-link question: ``grounded_adjugate_sum``,
+``compare_half``, ``se_set`` and the whole k=1 game, ``single_link_report``.
+``outcome_entry`` solves each entry independently with one n x n system and
+is the oracle the row route is tested against; ``verify`` checks the
+half-comparison and the se-set against it on any given graph.
 """
 from __future__ import annotations
 
@@ -282,41 +282,39 @@ def optimal_topologies(g: Graph, k: int, cap: int = DEFAULT_STRATEGY_CAP) -> lis
     return [(u.strategies[i], u.strategies[j]) for i, j in report.nash_pairs]
 
 
-@functools.lru_cache(maxsize=256)
-def _grounded_colsums(g: Graph, i: int) -> tuple:
-    """Column sums of adj(L + diag(e_i)), i 1-indexed.
+@functools.lru_cache(maxsize=16)
+def _single_link_adjugate(g: Graph) -> tuple:
+    """(D, K) with D = det(L + 11^T) = n^2 tau and K its adjugate (a tuple
+    of tuples), from one elimination of [L + 11^T | I], cached per graph.
 
-    The adjugate is symmetric, so these are its row sums. Cached per
-    (graph, vertex): ``compare_half`` over all pairs, the adjugate-minor
-    identity and ``se_set`` then share n adjugates. Graphs are frozen and
-    the results are tuples, so no caller can change a cached value.
+    By the resistance-distance identity (Klein & Randic 1993) K holds every
+    grounded column sum. L + 11^T is singular exactly when g is disconnected.
     """
-    e_i = [0] * g.n
-    e_i[i - 1] = 1
-    _, adj = _grounded_adjugate(laplacian(g), e_i, identity(g.n))
-    return tuple(sum(row) for row in adj)
+    big_d, adj = bareiss([[x + 1 for x in row] for row in laplacian(g)], identity(g.n))
+    if adj is None:
+        raise ValueError("graph not connected")
+    return big_d, tuple(map(tuple, adj))
 
 
 def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:
     """Sum of column j of adj(L + diag(e_i)): a nonnegative integer equal to
-    the spanning-tree count times the column sum of the grounded inverse."""
+    the spanning-tree count times the column sum of the grounded inverse,
+    read from K as (D + K_ii - K_ij) / n."""
     for v in (i, j):
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return _grounded_colsums(g, i)[j - 1]
+    big_d, adj = _single_link_adjugate(g)
+    return (big_d + adj[i - 1][i - 1] - adj[i - 1][j - 1]) // g.n
 
 
 def compare_half(g: Graph, i: int, j: int) -> Ordering:
     """Order the single-link outcome u_ij against 1/2 without forming it.
 
-    The comparison reduces to two integers: the column sums of the adjugates
-    of L grounded at i and at j. Both integers are nonnegative because the
-    grounded inverses are nonnegative matrices.
+    The comparison reduces to two grounded column sums, which differ by
+    (K_ii - K_jj) / n: the sign of K_ii - K_jj decides it.
     """
     if i == j:
         raise ValueError("vertices must differ")
-    if not is_connected(g):
-        raise ValueError("graph not connected")
     lhs = grounded_adjugate_sum(g, i, j)
     rhs = grounded_adjugate_sum(g, j, i)
     if lhs < rhs:
@@ -365,19 +363,23 @@ def neighborhood_dominance(g: Graph, i: int, j: int) -> Dominance:
 def se_set(g: Graph) -> tuple:
     """Vertices whose single link is never worse than the reply, i.e. the i
     with grounded_adjugate_sum(g, i, k) <= grounded_adjugate_sum(g, k, i)
-    for every k. Nonempty exactly when the single-link game has a saddle
-    point, and then it equals the security set.
+    for every k: argmin diag K, the information-centrality maximisers
+    (Stephenson & Zelen 1989). Always nonempty; the security set.
     """
-    if not is_connected(g):
-        raise ValueError("graph not connected")
-    n = g.n
-    colsums = [_grounded_colsums(g, i) for i in range(1, n + 1)]
-    members = [
-        i
-        for i in range(1, n + 1)
-        if all(colsums[i - 1][k - 1] <= colsums[k - 1][i - 1] for k in range(1, n + 1))
-    ]
-    return tuple(members)
+    _, adj = _single_link_adjugate(g)
+    diag = [adj[i][i] for i in range(g.n)]
+    return tuple(i + 1 for i in _argbest(diag, min(diag)))
+
+
+def single_link_report(g: Graph) -> GameReport:
+    """The k=1 game solved from K alone, equal to
+    ``nash_equilibria(outcome_matrix(g, 1))``: the half-comparison is a total
+    preorder, so the se-set is the security set, its square the saddle
+    pairs, and the value 1/2.
+    """
+    sec = tuple(v - 1 for v in se_set(g))
+    pairs = tuple(itertools.product(sec, sec))
+    return GameReport(HALF, HALF, security_set=sec, nash_pairs=pairs, nash_value=HALF)
 
 
 def shortcut_optimal(g: Graph) -> Shortcut | None:

@@ -12,6 +12,10 @@ from typing import Iterable, Sequence
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "circulant")
 
+# Dense Laplacians and exact eliminations are n x n; larger inputs are
+# refused before anything of size n is allocated.
+MAX_VERTICES = 2000
+
 IntMatrix = list  # list[list[int]], kept loose for 3.10-friendly aliasing
 
 
@@ -42,10 +46,16 @@ def _check_vertex(g: Graph, i: int) -> None:
         raise ValueError(f"vertex {i} out of range 1..{g.n}")
 
 
-def build_graph(n: int, edge_list: Iterable) -> Graph:
-    """Build a graph from unordered vertex pairs; repeats are deduplicated."""
+def _check_vertex_count(n: int) -> None:
     if n < 1:
         raise ValueError("vertex count must be >= 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def build_graph(n: int, edge_list: Iterable) -> Graph:
+    """Build a graph from unordered vertex pairs; repeats are deduplicated."""
+    _check_vertex_count(n)
     edges = set()
     for u, v in edge_list:
         if u == v:
@@ -65,8 +75,7 @@ def generate(kind: str, n: int, connection_set: Sequence | None = None) -> Graph
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    if n < 1:
-        raise ValueError("vertex count must be >= 1")
+    _check_vertex_count(n)
     if kind != "circulant" and connection_set is not None:
         raise ValueError("connection_set is only meaningful for circulant graphs")
     if kind == "path":
@@ -174,6 +183,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
+    _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} edge lines follow")
     edges = []
@@ -201,8 +211,7 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
 
     Deterministic for a given ``rng`` state; used by the self-check suites.
     """
-    if n < 1:
-        raise ValueError("vertex count must be >= 1")
+    _check_vertex_count(n)
     edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):

@@ -197,12 +197,8 @@ def _single_link_checks(g: Graph, u1) -> list:
 
     report = nash_equilibria(u1)
     se = se_set(g)
-    if se:
-        ok = set(se) == {u1.strategies[i].vertices[0] for i in report.security_set}
-        detail = "" if ok else f"se={se} security={report.security_set}"
-    else:
-        ok = report.upper_value > HALF
-        detail = "" if ok else f"se empty but upper={report.upper_value}"
+    ok = bool(se) and set(se) == {u1.strategies[i].vertices[0] for i in report.security_set}
+    detail = "" if ok else f"se={se} security={report.security_set}"
     results.append(CheckResult("se-set-security-match", ok, detail))
 
     sc = shortcut_optimal(g)

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the library's computation paths:
 determinants come from permutation expansion, spanning trees from explicit
-subset enumeration, connectivity from union-find, simulated trajectories
-from a four-stage RK4 loop and an eigendecomposition.
+subset enumeration, connectivity from union-find, inverses from Fraction
+Gauss-Jordan, simulated trajectories from a four-stage RK4 loop and an
+eigendecomposition.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,6 +84,55 @@ def spanning_trees_by_enumeration(g: Graph) -> int:
     )
 
 
+def laplacian_from_edges(g: Graph) -> list:
+    """Degree minus adjacency, accumulated edge by edge."""
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        lap[u - 1][v - 1] -= 1
+        lap[v - 1][u - 1] -= 1
+        lap[u - 1][u - 1] += 1
+        lap[v - 1][v - 1] += 1
+    return lap
+
+
+def inverse_by_gauss_jordan(m) -> list:
+    """Inverse of a nonsingular integer matrix by Fraction Gauss-Jordan
+    elimination on [m | I]."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+        for r, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def inverse_of_l_plus_ones(g: Graph) -> list:
+    """Y = (L + 11^T)^-1 by Fraction Gauss-Jordan; g must be connected."""
+    return inverse_by_gauss_jordan([[x + 1 for x in row] for row in laplacian_from_edges(g)])
+
+
+def single_link_closed_form(g: Graph) -> tuple:
+    """The k=1 outcome matrix from Y = (L + 11^T)^-1:
+    u(i, j) = (1 + Y_ii - Y_ij) / (2 + Y_ii + Y_jj - 2 Y_ij)."""
+    y = inverse_of_l_plus_ones(g)
+    return tuple(
+        tuple(
+            (1 + y[i][i] - y[i][j]) / (2 + y[i][i] + y[j][j] - 2 * y[i][j])
+            for j in range(g.n)
+        )
+        for i in range(g.n)
+    )
+
+
 def connected_corpus(seed: int, count: int, n_min: int = 2, n_max: int = 6) -> list:
     rng = random.Random(seed)
     out = []
@@ -103,12 +154,7 @@ def random_links(rng: random.Random, n: int, max_each: int = 3) -> LeaderLinks:
 def flow_system(g: Graph, links: LeaderLinks, ys):
     """M = L + diag(b+d) built from the edge list, and c = b y0 + d y1, so the
     follower flow is x' = -M x + c."""
-    m = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        m[u - 1, v - 1] -= 1.0
-        m[v - 1, u - 1] -= 1.0
-        m[u - 1, u - 1] += 1.0
-        m[v - 1, v - 1] += 1.0
+    m = np.array(laplacian_from_edges(g), dtype=float)
     m += np.diag(np.add(links.b, links.d).astype(float))
     c = np.array(links.b, dtype=float) * float(ys.y0) + np.array(links.d, dtype=float) * float(ys.y1)
     return m, c

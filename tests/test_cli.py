@@ -2,7 +2,10 @@ import importlib
 import json
 import math
 
+import leadergame.cli as cli_module
+import leadergame.game as game_module
 from leadergame.cli import main
+from leadergame.graphs import MAX_VERTICES
 
 # the package re-exports the function simulate under the module's name
 SIMULATE_MODULE = importlib.import_module("leadergame.simulate")
@@ -32,6 +35,11 @@ class TestGen:
         code, _, err = run(capsys, "tau", "--graph", "no-such-file.txt")
         assert code == 2
         assert "error" in err
+
+    def test_vertex_budget(self, capsys):
+        code, out, err = run(capsys, "gen", "--graph", "path:50000000")
+        assert code == 2 and out == ""
+        assert err == f"error: vertex count 50000000 exceeds the limit of {MAX_VERTICES}\n"
 
 
 class TestOutcome:
@@ -103,6 +111,25 @@ class TestNash:
         assert payload["nash_value"] == "1/2"
         assert payload["security_set"] == [[2]]
 
+    def test_single_link_builds_no_matrix(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("outcome_matrix called")
+
+        monkeypatch.setattr(cli_module, "outcome_matrix", refuse)
+        monkeypatch.setattr(game_module, "outcome_matrix", refuse)
+        code, out, _ = run(capsys, "nash", "--graph", "path:5")
+        assert code == 0
+        assert out == (
+            '{"upper_value":"1/2","lower_value":"1/2","security_set":[[3]],'
+            '"nash_pairs":[[[3],[3]]],"nash_value":"1/2","shortcut_used":false}\n'
+        )
+
+    def test_single_link_cap_and_connectivity(self, capsys):
+        code, _, err = run(capsys, "nash", "--graph", "path:5", "--cap", "4")
+        assert code == 2 and "exceeds the cap of 4" in err
+        code, _, err = run(capsys, "nash", "--graph", "circulant:4:")
+        assert code == 2 and err == "error: graph not connected\n"
+
     def test_pairs_game(self, capsys):
         code, out, _ = run(capsys, "nash", "--graph", "path:3", "--k", "2")
         payload = json.loads(out)
@@ -121,6 +148,13 @@ class TestSmallCommands:
     def test_se_set(self, capsys):
         code, out, _ = run(capsys, "se-set", "--graph", "star:4")
         assert json.loads(out)["se_set"] == [1]
+
+    def test_se_set_vertex_budget(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("100000000 1\n1 2\n")
+        code, out, err = run(capsys, "se-set", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: vertex count 100000000 exceeds the limit of {MAX_VERTICES}\n"
 
     def test_tau(self, capsys):
         code, out, _ = run(capsys, "tau", "--graph", "complete:4")

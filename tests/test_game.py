@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 import leadergame.game as game_module
-from helpers import connected_corpus
+from helpers import connected_corpus, single_link_closed_form
 from leadergame.containment import LeaderLinks, convex_weights
-from leadergame.exactmat import identity, spanning_tree_count
+from leadergame.exactmat import spanning_tree_count
 from leadergame.game import (
     HALF,
     Dominance,
+    GameReport,
     Ordering,
     OutcomeMatrix,
     Strategy,
@@ -26,6 +27,7 @@ from leadergame.game import (
     se_set,
     security_sets,
     shortcut_optimal,
+    single_link_report,
 )
 from leadergame.graphs import build_graph, generate
 
@@ -184,6 +186,18 @@ class TestOutcomeMatrixOracle:
         assert_matches_oracle(generate(kind, n), k)
 
 
+class TestClosedFormOracle:
+    """The k=1 matrix against Y = (L + 11^T)^-1 from Fraction Gauss-Jordan."""
+
+    def test_path_hand_value(self):
+        assert P3_MATRIX[0][1] == Fraction(5, 9)
+        assert single_link_closed_form(P3) == P3_MATRIX == outcome_matrix(P3, 1).entries
+
+    def test_corpus(self):
+        for g in connected_corpus(seed=347, count=15, n_min=1, n_max=7):
+            assert outcome_matrix(g, 1).entries == single_link_closed_form(g)
+
+
 class TestOutcomeRows:
     def test_rows_are_the_matrix(self):
         for g in connected_corpus(seed=359, count=6, n_min=2, n_max=6):
@@ -302,6 +316,11 @@ class TestHalfComparison:
         with pytest.raises(ValueError, match="differ"):
             compare_half(P3, 2, 2)
 
+    def test_vertex_out_of_range(self):
+        for i, j in ((0, 2), (1, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                compare_half(P3, i, j)
+
     def test_agreement_with_exact_entries(self):
         for g in connected_corpus(seed=313, count=15, n_min=2, n_max=6):
             u = outcome_matrix(g, 1)
@@ -317,15 +336,24 @@ class TestHalfComparison:
                     )
                     assert compare_half(g, i, j) is expected
 
-    def test_one_adjugate_per_vertex(self, eliminations):
-        game_module._grounded_colsums.cache_clear()
+    def test_one_elimination_per_graph(self, monkeypatch):
+        calls = []
+        real = game_module.bareiss
+
+        def counting(m, rhs=None):
+            calls.append(len(m))
+            return real(m, rhs)
+
+        monkeypatch.setattr(game_module, "bareiss", counting)
+        game_module._single_link_adjugate.cache_clear()
         g = generate("path", 6)
         for i in range(1, 7):
             for j in range(1, 7):
                 if i != j:
                     compare_half(g, i, j)
-        game_module._grounded_colsums.cache_clear()
-        assert sorted(eliminations, reverse=True) == [tuple(r) for r in identity(6)]
+                grounded_adjugate_sum(g, i, j)
+        assert se_set(g) == (3, 4)
+        assert calls == [6]
 
     def test_disconnected_rejected(self):
         g = build_graph(3, [(1, 2)])
@@ -410,6 +438,19 @@ class TestSeSet:
                 assert set(report.nash_pairs) == {
                     (i - 1, j - 1) for i in se for j in se
                 }
+
+
+class TestSingleLinkReport:
+    def test_path(self):
+        assert single_link_report(P3) == GameReport(HALF, HALF, (1,), ((1, 1),), HALF)
+
+    def test_matches_nash_on_corpus(self):
+        for g in connected_corpus(seed=349, count=12, n_min=1, n_max=7):
+            assert single_link_report(g) == nash_equilibria(outcome_matrix(g, 1))
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="not connected"):
+            single_link_report(build_graph(3, [(1, 2)]))
 
 
 class TestShortcut:

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import connected_by_unionfind
 from leadergame.graphs import (
+    MAX_VERTICES,
     adjacency,
     build_graph,
     center_vertices,
@@ -72,6 +73,16 @@ class TestGenerate:
     def test_offsets_rejected_elsewhere(self):
         with pytest.raises(ValueError):
             generate("path", 4, [1])
+
+    def test_vertex_budget(self):
+        assert generate("path", MAX_VERTICES).n == MAX_VERTICES
+        for n in (MAX_VERTICES + 1, 50_000_000):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                generate("path", n)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            build_graph(MAX_VERTICES + 1, [])
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            random_connected_graph(random.Random(0), MAX_VERTICES + 1)
 
     def test_circulant_two_offsets(self):
         g = generate("circulant", 6, [1, 2])
@@ -169,6 +180,11 @@ class TestEdgeListFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="n m"):
             parse_edge_list("3\n1 2\n")
+
+    def test_header_vertex_budget(self):
+        for n in (MAX_VERTICES + 1, 100_000_000):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse_edge_list(f"{n} 1\n1 2\n")
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -1,3 +1,4 @@
+import leadergame.verify as verify_module
 from helpers import connected_corpus
 from leadergame.graphs import build_graph, generate
 from leadergame.verify import run_checks
@@ -28,3 +29,11 @@ def test_disconnected_reports_gate_failure():
     gate = [r for r in results if r.name == "connectivity-gate"]
     assert len(gate) == 1 and not gate[0].ok
     assert not all(r.ok for r in results)
+
+
+def test_empty_se_set_fails(monkeypatch):
+    monkeypatch.setattr(verify_module, "se_set", lambda g: ())
+    results = run_checks(generate("path", 4), k=1, seed=0)
+    match = [r for r in results if r.name == "se-set-security-match"]
+    assert len(match) == 1 and not match[0].ok
+    assert "se=()" in match[0].detail
