@@ -44,12 +44,20 @@ from .simulate import SimConfig, decay_rate, simulate, terminal_residual, trajec
 from .verify import run_checks
 
 
+# Largest --precision: formatting costs grow with 10**precision.
+MAX_PRECISION = 1000
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 def _decimal(x: Fraction, precision: int) -> str:
-    return f"{float(round(x, precision)):.{precision}f}"
+    """x rounded half-to-even at ``precision`` places, every digit exact."""
+    scaled = round(x * 10**precision)
+    whole, frac = divmod(abs(scaled), 10**precision)
+    digits = f"{whole}.{frac:0{precision}d}" if precision else f"{whole}"
+    return f"-{digits}" if scaled < 0 else digits
 
 
 def _resolve_graph(spec: str) -> Graph:
@@ -77,6 +85,13 @@ def _parse_vertices(text: str) -> list:
         raise ValueError(f"bad vertex list {text!r}; expected comma-separated integers")
 
 
+def _parse_state(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad leader state {text!r}: zero denominator") from None
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
@@ -88,8 +103,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_outcome(args) -> int:
-    if args.precision < 0:
-        raise ValueError(f"--precision must be >= 0, got {args.precision}")
+    if not 0 <= args.precision <= MAX_PRECISION:
+        raise ValueError(f"--precision must be >= 0 and <= {MAX_PRECISION}, got {args.precision}")
     g = _resolve_graph(args.graph)
     u = outcome_matrix(g, args.k, cap=args.cap)
     if args.format == "csv":
@@ -107,15 +122,18 @@ def _cmd_outcome(args) -> int:
     return 0
 
 
+def _solve(g: Graph, args, report_of) -> tuple:
+    """(strategies, report): ``single_link_report`` answers --k 1 without the
+    matrix; larger k build it and take ``report_of`` on it."""
+    if args.k == 1:
+        return enumerate_strategies(g.n, 1, cap=args.cap), single_link_report(g)
+    u = outcome_matrix(g, args.k, cap=args.cap)
+    return u.strategies, report_of(u)
+
+
 def _cmd_nash(args) -> int:
     g = _resolve_graph(args.graph)
-    if args.k == 1:
-        strategies = enumerate_strategies(g.n, 1, cap=args.cap)
-        report = single_link_report(g)
-    else:
-        u = outcome_matrix(g, args.k, cap=args.cap)
-        strategies = u.strategies
-        report = nash_equilibria(u)
+    strategies, report = _solve(g, args, nash_equilibria)
     verts = [list(s.vertices) for s in strategies]
     _emit(
         {
@@ -132,9 +150,8 @@ def _cmd_nash(args) -> int:
 
 def _cmd_security(args) -> int:
     g = _resolve_graph(args.graph)
-    u = outcome_matrix(g, args.k, cap=args.cap)
-    report = game_values(u)
-    verts = [list(s.vertices) for s in u.strategies]
+    strategies, report = _solve(g, args, game_values)
+    verts = [list(s.vertices) for s in strategies]
     _emit(
         {
             "upper_value": _frac(report.upper_value),
@@ -160,7 +177,7 @@ def _cmd_tau(args) -> int:
 def _cmd_simulate(args) -> int:
     g = _resolve_graph(args.graph)
     links = LeaderLinks.from_vertices(g.n, _parse_vertices(args.b), _parse_vertices(args.d))
-    ys = LeaderStates(Fraction(args.y0), Fraction(args.y1))
+    ys = LeaderStates(_parse_state(args.y0), _parse_state(args.y1))
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, convergence_tol=args.tol)
     traj = simulate(g, links, [0.0] * g.n, ys, cfg)
     sys.stdout.write(trajectory_csv(traj, ys))

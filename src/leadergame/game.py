@@ -6,15 +6,16 @@ leader 0 picks strategy i and leader 1 picks strategy j: an exact rational
 strictly between 0 and 1. Leader 0 minimizes, leader 1 maximizes, and a
 saddle point of the matrix is an optimal topology of the system.
 
-One grounded elimination, ``_grounded_adjugate``, gives det and adjugate
-of L + diag(1_S). Rows from ``outcome_rows`` take one such elimination per
-row and a k x k fraction-free correction per entry; they feed
-``outcome_matrix`` and ``reconstruct``. One elimination of L + 11^T per
-graph answers every single-link question: ``grounded_adjugate_sum``,
+Rows from ``outcome_rows`` feed ``outcome_matrix`` and ``reconstruct``.
+One elimination of L + 11^T per graph, ``_single_link_adjugate``, answers
+every single-link question: the k=1 rows, ``grounded_adjugate_sum``,
 ``compare_half``, ``se_set`` and the whole k=1 game, ``single_link_report``.
-``outcome_entry`` solves each entry independently with one n x n system and
-is the oracle the row route is tested against; ``verify`` checks the
-half-comparison and the se-set against it on any given graph.
+For k >= 2 each row takes one grounded elimination, ``_grounded_adjugate``
+(det and adjugate of L + diag(1_S)), and a k x k fraction-free Woodbury
+correction per entry. ``outcome_entry`` solves each entry independently
+with one n x n system and is the oracle both row routes are tested
+against; ``verify`` checks the half-comparison and the se-set against it
+on any given graph.
 """
 from __future__ import annotations
 
@@ -173,7 +174,24 @@ def _grounded_adjugate(lap, s, eye) -> tuple:
 def _rows(g: Graph, strategies: tuple):
     """Outcome rows of a connected graph; see ``outcome_rows``."""
     if not strategies:
-        return
+        return iter(())
+    if strategies[0].k == 1:
+        return _single_link_rows(g, [s.vertices[0] - 1 for s in strategies])
+    return _woodbury_rows(g, strategies)
+
+
+def _single_link_rows(g: Graph, idx: list):
+    """k=1 rows over the 0-based vertices ``idx`` from (D, K) alone."""
+    big_d, adj = _single_link_adjugate(g)
+    for i in idx:
+        ki = adj[i]
+        yield tuple(
+            Fraction(big_d + ki[i] - ki[j], 2 * big_d + ki[i] + adj[j][j] - 2 * ki[j]) for j in idx
+        )
+
+
+def _woodbury_rows(g: Graph, strategies: tuple):
+    """Rows for k >= 2 from one grounded elimination per row; see ``outcome_rows``."""
     n = g.n
     lap = laplacian(g)
     eye = identity(n)
@@ -192,12 +210,18 @@ def _rows(g: Graph, strategies: tuple):
 
 
 def outcome_rows(g: Graph, strategies):
-    """The rows of the outcome matrix over ``strategies``, one at a time.
+    """The rows of the outcome matrix over ``strategies``, one at a time,
+    in the order given.
 
-    Row S takes one elimination of M_S = L + diag(1_S), giving D = det M_S
-    and the symmetric integer adjugate A, and z = A 1. Column T adds
-    diag(1_T) = U U^T with U = [e_t for t in T]; by the push-through form of
-    Woodbury, (M_S + U U^T)^-1 U = M_S^-1 U (I + U^T M_S^-1 U)^-1, so
+    For k = 1 every row reads D = n^2 tau and K = adj(L + 11^T) from the one
+    cached elimination per graph: by the resistance-distance identity,
+
+        u(i, j) = (D + K_ii - K_ij) / (2D + K_ii + K_jj - 2K_ij).
+
+    For k >= 2, row S takes one elimination of M_S = L + diag(1_S), giving
+    D = det M_S and the symmetric integer adjugate A, and z = A 1. Column T
+    adds diag(1_T) = U U^T with U = [e_t for t in T]; by the push-through
+    form of Woodbury, (M_S + U U^T)^-1 U = M_S^-1 U (I + U^T M_S^-1 U)^-1, so
 
         u(S, T) = z_T . y / (n d),  d = det(D I + A_TT),  y = d (D I + A_TT)^-1 1,
 
@@ -296,13 +320,17 @@ def _single_link_adjugate(g: Graph) -> tuple:
     return big_d, tuple(map(tuple, adj))
 
 
+def _check_vertices(g: Graph, *vertices) -> None:
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} out of range 1..{g.n}")
+
+
 def grounded_adjugate_sum(g: Graph, i: int, j: int) -> int:
     """Sum of column j of adj(L + diag(e_i)): a nonnegative integer equal to
     the spanning-tree count times the column sum of the grounded inverse,
     read from K as (D + K_ii - K_ij) / n."""
-    for v in (i, j):
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
+    _check_vertices(g, i, j)
     big_d, adj = _single_link_adjugate(g)
     return (big_d + adj[i - 1][i - 1] - adj[i - 1][j - 1]) // g.n
 
@@ -332,6 +360,7 @@ def m_ij(g: Graph, i: int, j: int) -> int:
     """
     if i == j:
         raise ValueError("vertices must differ")
+    _check_vertices(g, i, j)
     if not is_connected(g):
         raise ValueError("graph not connected")
     lap = laplacian(g)

@@ -1,10 +1,15 @@
 import importlib
 import json
 import math
+from fractions import Fraction
+
+import pytest
 
 import leadergame.cli as cli_module
 import leadergame.game as game_module
+from helpers import connected_corpus
 from leadergame.cli import main
+from leadergame.game import outcome_matrix
 from leadergame.graphs import MAX_VERTICES
 
 # the package re-exports the function simulate under the module's name
@@ -84,6 +89,44 @@ class TestOutcome:
         assert code == 2
         assert "--precision must be >= 0" in err
 
+    def test_precision_twenty_is_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "outcome", "--graph", "path:3", "--format", "csv", "--precision", "20"
+        )
+        assert code == 0
+        assert out.splitlines()[0].split(",") == [
+            "0.50000000000000000000",
+            "0.55555555555555555556",
+            "0.50000000000000000000",
+        ]
+        assert out.splitlines()[1].split(",")[0] == "0.44444444444444444444"
+
+    def test_precision_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "outcome", "--graph", "path:3", "--format", "csv", "--precision", "0"
+        )
+        assert code == 0 and out == "0,1,0\n0,0,0\n0,1,0\n"
+
+    def test_precision_limit(self, capsys):
+        argv = ("outcome", "--graph", "path:3", "--format", "csv", "--precision")
+        code, out, _ = run(capsys, *argv, str(cli_module.MAX_PRECISION))
+        assert code == 0
+        assert out.split(",")[1] == "0." + "5" * (cli_module.MAX_PRECISION - 1) + "6"
+        code, out, err = run(capsys, *argv, str(cli_module.MAX_PRECISION + 1))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --precision must be >= 0 and <= {cli_module.MAX_PRECISION}, "
+            f"got {cli_module.MAX_PRECISION + 1}\n"
+        )
+
+    def test_decimal_matches_float_formatting_to_fifteen_places(self):
+        values = [Fraction(1, 8), Fraction(3, 8), Fraction(5, 16), Fraction(1, 2), Fraction(-1, 8)]
+        for g in connected_corpus(seed=379, count=6, n_min=2, n_max=6):
+            values.extend(v for row in outcome_matrix(g, 1).entries for v in row)
+        for x in values:
+            for p in range(16):
+                assert cli_module._decimal(x, p) == f"{float(round(x, p)):.{p}f}"
+
     def test_deterministic(self, capsys):
         _, a, _ = run(capsys, "outcome", "--graph", "cycle:5")
         _, b, _ = run(capsys, "outcome", "--graph", "cycle:5")
@@ -144,6 +187,31 @@ class TestSmallCommands:
         payload = json.loads(out)
         assert payload["security_set"] == [[2]]
         assert payload["upper_value"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            (None, '{"upper_value":"1/2","lower_value":"1/2","security_set":[[3]]}\n'),
+            (
+                "7 8\n1 2\n2 3\n3 4\n4 5\n5 6\n2 7\n7 4\n6 1\n",
+                '{"upper_value":"1/2","lower_value":"1/2","security_set":[[2],[4]]}\n',
+            ),
+        ],
+    )
+    def test_single_link_security_builds_no_matrix(
+        self, capsys, monkeypatch, tmp_path, edges, expected
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("outcome_matrix called")
+
+        monkeypatch.setattr(cli_module, "outcome_matrix", refuse)
+        monkeypatch.setattr(game_module, "outcome_matrix", refuse)
+        spec = "path:5"
+        if edges is not None:
+            spec = str(tmp_path / "g.txt")
+            (tmp_path / "g.txt").write_text(edges)
+        code, out, _ = run(capsys, "security", "--graph", spec)
+        assert code == 0 and out == expected
 
     def test_se_set(self, capsys):
         code, out, _ = run(capsys, "se-set", "--graph", "star:4")
@@ -271,6 +339,13 @@ class TestSimulate:
         token = err.split()[-1]
         assert token.startswith("decay-rate=")
         assert abs(float(token.split("=")[1]) - (5 - math.sqrt(17)) / 2) < 1e-12
+
+    def test_zero_denominator_state(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--graph", "path:3", "--b", "1", "--d", "2", "--y0=1/0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: bad leader state '1/0': zero denominator\n"
 
     def test_bad_vertex_list(self, capsys):
         code, _, err = run(

@@ -219,6 +219,32 @@ class TestOutcomeRows:
         assert eliminations[1:] == [si.indicator for si in s]
         assert checks == [C6, C6]
 
+    @pytest.mark.parametrize(
+        "g", [generate("path", 6), connected_corpus(seed=367, count=1, n_min=12, n_max=12)[0]]
+    )
+    def test_single_link_takes_one_elimination(self, g, eliminations, monkeypatch):
+        calls = []
+        real = game_module.bareiss
+
+        def counting(m, rhs=None):
+            calls.append(len(m))
+            return real(m, rhs)
+
+        monkeypatch.setattr(game_module, "bareiss", counting)
+        game_module._single_link_adjugate.cache_clear()
+        entries = outcome_matrix(g, 1).entries
+        assert calls == [g.n]
+        assert eliminations == []
+        assert entries == single_link_closed_form(g)
+
+    def test_single_link_rows_keep_the_given_order(self):
+        g = connected_corpus(seed=373, count=1, n_min=5, n_max=5)[0]
+        s = enumerate_strategies(5, 1)
+        rows = tuple(outcome_rows(g, [s[2], s[0]]))
+        assert rows == tuple(
+            tuple(outcome_entry(g, si, sj) for sj in (s[2], s[0])) for si in (s[2], s[0])
+        )
+
     def test_bad_input_rejected_before_any_row(self):
         with pytest.raises(ValueError, match="not connected"):
             outcome_rows(build_graph(3, [(1, 2)]), enumerate_strategies(3, 1))
@@ -380,6 +406,11 @@ class TestOnesRowMinor:
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             m_ij(P3, 1, 1)
+
+    def test_vertex_out_of_range(self):
+        for i, j in ((1, 5), (0, 2), (4, 1)):
+            with pytest.raises(ValueError, match="out of range 1..3"):
+                m_ij(P3, i, j)
 
 
 class TestDominance:

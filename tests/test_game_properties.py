@@ -1,5 +1,6 @@
 """Property tests on drawn graphs: the outcome matrix against the per-entry
-solve, and the single-link report against the full k=1 solution.
+solve, the game values for k = 2-3 against 1/2, and the single-link report
+against the full k=1 solution.
 
 Kept apart from test_game.py so that the game tests do not need hypothesis.
 """
@@ -15,7 +16,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from helpers import inverse_of_l_plus_ones  # noqa: E402
 from leadergame.game import (  # noqa: E402
+    HALF,
     enumerate_strategies,
+    game_values,
     nash_equilibria,
     outcome_entry,
     outcome_matrix,
@@ -40,6 +43,15 @@ def test_outcome_matrix_matches_per_entry_solve(seed, n, data):
     assert entries == tuple(tuple(outcome_entry(g, si, sj) for sj in s) for si in s)
     assert all(type(v) is Fraction for row in entries for v in row)
     assert all(v + entries[j][i] == 1 for i, row in enumerate(entries) for j, v in enumerate(row))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3), data=st.data())
+def test_multi_link_values_bracket_half(seed, k, data):
+    n = data.draw(st.integers(k, 7), label="n")
+    report = game_values(outcome_matrix(drawn_graph(seed, n), k))
+    assert report.lower_value <= HALF <= report.upper_value
+    assert report.lower_value == 1 - report.upper_value
 
 
 @settings(max_examples=40, deadline=None)
